@@ -4,7 +4,15 @@ Only two-port S-parameter files are handled: `!` starts a comment, one
 `#` option line gives unit / parameter / format / reference impedance,
 and each data row holds 9 numbers (f, then S11 S21 S12 S22 pairs).
 Angles are degrees in files and radians internally. All parse errors
-carry a 1-based line number.
+carry a 1-based line number, and non-finite numbers are refused on read
+and on write.
+
+The writers render every number as "%.12g" (12 significant digits) and
+build each output column once, then format whole rows through one row
+template. The MA/DB angle and dB columns still come from the `math`
+module one element at a time, because numpy's arctan2 and log10 are not
+bit-identical to math.atan2 and math.log10, and the last ulp can change
+a 12-digit field.
 """
 
 from __future__ import annotations
@@ -44,8 +52,15 @@ class RawTwoPort:
                 raise ValueError(f"{name} length must equal the grid length")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def _render(sep: str, columns: list[list[float]]) -> list[str]:
+    """One line per row of the columns, every value rendered as %.12g."""
+    row = sep.join(["%.12g"] * len(columns))
+    return [row % r for r in zip(*columns)]
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("cannot write non-finite values")
 
 
 def _pair_to_complex(fmt: str, a: float, b: float) -> complex:
@@ -60,8 +75,7 @@ def _pair_to_complex(fmt: str, a: float, b: float) -> complex:
 
 
 def _complex_to_pair(fmt: str, s: complex) -> tuple[float, float]:
-    if fmt == "ri":
-        return s.real, s.imag
+    """MA or DB (magnitude or dB, angle in degrees) of one value."""
     mag = abs(s)
     ang = math.degrees(math.atan2(s.imag, s.real)) if mag > 0.0 else 0.0
     if fmt == "ma":
@@ -162,7 +176,10 @@ def parse_s2p(text: str) -> RawTwoPort:
 
 
 def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
-    """Serialize a RawTwoPort as Touchstone v1 text (12 significant digits)."""
+    """Serialize a RawTwoPort as Touchstone v1 text (12 significant digits).
+
+    Raises ValueError on a non-finite frequency, S-parameter or z0.
+    """
     unit = unit.lower()
     fmt = fmt.lower()
     if unit not in UNIT_TO_HZ:
@@ -170,18 +187,21 @@ def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
+    params = (raw.s11, raw.s21, raw.s12, raw.s22)
+    _require_finite(raw.z0_ohm, raw.grid.points_hz, *params)
+
+    columns = [(raw.grid.points_hz / UNIT_TO_HZ[unit]).tolist()]
+    for s in params:
+        if fmt == "ri":
+            columns += [s.real.tolist(), s.imag.tolist()]
+        else:
+            pairs = [_complex_to_pair(fmt, v) for v in s.tolist()]
+            columns += [[a for a, _ in pairs], [b for _, b in pairs]]
     lines = [
         "! coaxfilt two-port export",
-        f"# {unit.upper()} S {fmt.upper()} R {_fmt(raw.z0_ohm)}",
+        "# %s S %s R %.12g" % (unit.upper(), fmt.upper(), raw.z0_ohm),
+        *_render(" ", columns),
     ]
-    scale = UNIT_TO_HZ[unit]
-    for i, f_hz in enumerate(raw.grid.points_hz):
-        fields = [_fmt(f_hz / scale)]
-        for s in (raw.s11[i], raw.s21[i], raw.s12[i], raw.s22[i]):
-            a, b = _complex_to_pair(fmt, complex(s))
-            fields.append(_fmt(a))
-            fields.append(_fmt(b))
-        lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -215,87 +235,65 @@ def raw_from_response(resp: TwoPortResponse) -> RawTwoPort:
 
 
 def export_csv(resp: TwoPortResponse) -> str:
-    """Plot-ready CSV of a response (dB columns use the -300 floor sentinel)."""
-    lines = [RESPONSE_CSV_HEADER]
-    for i, f_hz in enumerate(resp.grid.points_hz):
-        s11 = complex(resp.s11[i])
-        s21 = complex(resp.s21[i])
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    f_hz,
-                    s11.real,
-                    s11.imag,
-                    s21.real,
-                    s21.imag,
-                    magnitude_db(s11),
-                    magnitude_db(s21),
-                )
-            )
-        )
+    """Plot-ready CSV of a response (dB columns use the -300 floor sentinel).
+
+    Raises ValueError on a non-finite frequency or S-parameter.
+    """
+    f, s11, s21 = resp.grid.points_hz, resp.s11, resp.s21
+    _require_finite(f, s11, s21)
+    columns = [f, s11.real, s11.imag, s21.real, s21.imag, magnitude_db(s11), magnitude_db(s21)]
+    lines = [RESPONSE_CSV_HEADER, *_render(",", [c.tolist() for c in columns])]
     return "\n".join(lines) + "\n"
+
+
+def _read_csv(text: str, header: str, kind: str) -> tuple[int, list[list[float]]]:
+    """Data rows of a toolkit CSV, plus the number of its last non-blank line.
+
+    Blank lines are skipped; error line numbers count them.
+    """
+    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not numbered:
+        raise ParseError(1, f"empty {kind} CSV")
+    if numbered[0][1].strip() != header:
+        raise ParseError(numbered[0][0], f"expected header {header!r}")
+    n_cols = header.count(",") + 1
+    rows: list[list[float]] = []
+    for line_no, line in numbered[1:]:
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise ParseError(line_no, f"expected {n_cols} columns, got {len(fields)}")
+        try:
+            values = [float(v) for v in fields]
+        except ValueError:
+            raise ParseError(line_no, f"unparseable number in {kind} CSV")
+        for tok, v in zip(fields, values):
+            if not math.isfinite(v):
+                raise ParseError(line_no, f"non-finite number {tok.strip()!r}")
+        rows.append(values)
+    return numbered[-1][0], rows
 
 
 def response_from_csv(text: str, z0_ohm: float = 50.0) -> TwoPortResponse:
     """Read a response CSV written by export_csv back into a TwoPortResponse."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(1, "empty response CSV")
-    if lines[0].strip() != RESPONSE_CSV_HEADER:
-        raise ParseError(1, f"expected header {RESPONSE_CSV_HEADER!r}")
-    freqs: list[float] = []
-    s11: list[complex] = []
-    s21: list[complex] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParseError(line_no, f"expected 7 columns, got {len(fields)}")
-        try:
-            vals = [float(v) for v in fields]
-        except ValueError:
-            raise ParseError(line_no, "unparseable number in response CSV")
-        freqs.append(vals[0])
-        s11.append(complex(vals[1], vals[2]))
-        s21.append(complex(vals[3], vals[4]))
+    last_line, rows = _read_csv(text, RESPONSE_CSV_HEADER, "response")
+    data = np.array(rows).reshape(len(rows), 7)
     try:
-        grid = FrequencyGrid(np.array(freqs))
+        grid = FrequencyGrid(data[:, 0])
     except ValueError as err:
-        raise ParseError(len(lines), str(err))
-    return TwoPortResponse(grid=grid, s11=np.array(s11), s21=np.array(s21), z0_ohm=z0_ohm)
+        raise ParseError(last_line, str(err))
+    # viewing the re/im pairs as complex keeps signed zeros, which re + 1j*im would not
+    s = data[:, 1:5].copy().view(complex)
+    return TwoPortResponse(grid=grid, s11=s[:, 0], s21=s[:, 1], z0_ohm=z0_ohm)
 
 
 def material_to_csv(mat: MaterialModel) -> str:
-    lines = [MATERIAL_CSV_HEADER]
-    for s in mat.samples:
-        lines.append(
-            ",".join(_fmt(v) for v in (s.f_hz, s.eps_rel, s.mu_rel, s.alpha_np_per_m))
-        )
+    lines = [MATERIAL_CSV_HEADER, *_render(",", [c.tolist() for c in mat.table])]
     return "\n".join(lines) + "\n"
 
 
 def material_from_csv(text: str) -> MaterialModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(1, "empty material CSV")
-    if lines[0].strip() != MATERIAL_CSV_HEADER:
-        raise ParseError(1, f"expected header {MATERIAL_CSV_HEADER!r}")
-    rows: list[tuple[float, float, float, float]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(line_no, f"expected 4 columns, got {len(fields)}")
-        try:
-            f, eps, mu, alpha = (float(v) for v in fields)
-        except ValueError:
-            raise ParseError(line_no, "unparseable number in material CSV")
-        rows.append((f, eps, mu, alpha))
+    last_line, rows = _read_csv(text, MATERIAL_CSV_HEADER, "material")
     try:
-        return MaterialModel.from_arrays(
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-            [r[3] for r in rows],
-        )
+        return MaterialModel.from_arrays(*np.array(rows).reshape(len(rows), 4).T)
     except ValueError as err:
-        raise ParseError(len(lines), str(err))
+        raise ParseError(last_line, str(err))

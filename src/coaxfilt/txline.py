@@ -88,12 +88,18 @@ class MaterialSample:
     alpha_np_per_m: float
 
     def __post_init__(self) -> None:
-        if self.eps_rel < 1.0:
-            raise ValueError(f"eps_rel must be >= 1, got {self.eps_rel}")
-        if self.mu_rel <= 0.0:
-            raise ValueError(f"mu_rel must be > 0, got {self.mu_rel}")
-        if self.alpha_np_per_m < 0.0:
-            raise ValueError(f"alpha_np_per_m must be >= 0, got {self.alpha_np_per_m}")
+        # Each test also refuses NaN, which fails every comparison, and inf.
+        # Extraction builds thousands of samples, so keep these to one
+        # chained comparison each.
+        inf = math.inf
+        if not -inf < self.f_hz < inf:
+            raise ValueError(f"f_hz must be finite, got {self.f_hz}")
+        if not 1.0 <= self.eps_rel < inf:
+            raise ValueError(f"eps_rel must be finite and >= 1, got {self.eps_rel}")
+        if not 0.0 < self.mu_rel < inf:
+            raise ValueError(f"mu_rel must be finite and > 0, got {self.mu_rel}")
+        if not 0.0 <= self.alpha_np_per_m < inf:
+            raise ValueError(f"alpha_np_per_m must be finite and >= 0, got {self.alpha_np_per_m}")
 
 
 class MaterialModel:
@@ -116,6 +122,8 @@ class MaterialModel:
         self._eps = np.array([s.eps_rel for s in samples])
         self._mu = np.array([s.mu_rel for s in samples])
         self._alpha = np.array([s.alpha_np_per_m for s in samples])
+        for column in self.table:
+            column.flags.writeable = False
 
     @classmethod
     def constant(cls, eps_rel: float, mu_rel: float, alpha_np_per_m: float) -> "MaterialModel":
@@ -129,6 +137,11 @@ class MaterialModel:
                 for f, e, m, a in zip(f_hz, eps_rel, mu_rel, alpha_np_per_m)
             ]
         )
+
+    @property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The tabulated (f_hz, eps_rel, mu_rel, alpha_np_per_m) columns, read-only."""
+        return self._f, self._eps, self._mu, self._alpha
 
     @property
     def f_min_hz(self) -> float:

@@ -390,3 +390,12 @@ def test_module_entry_point_subprocess(tmp_path):
     assert result.returncode == 0
     assert "modeled 21 points" in result.stdout
     assert (tmp_path / "m.csv").read_bytes() == (GOLDEN / "model_42mm.csv").read_bytes()
+
+
+def test_make_fixtures_reproduces_committed_bytes():
+    script = Path(__file__).parent.parent / "scripts" / "make_fixtures.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--check"], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "match the committed bytes" in result.stdout

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 import coaxfilt as cf
 
+_MAT_HEADER = "f_hz,eps_rel,mu_rel,alpha_np_per_m"
+_RESP_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
+
 
 def _raw(freqs, s11, s21, s12=None, s22=None, z0=50.0):
     s11 = np.asarray(s11, dtype=complex)
@@ -154,6 +157,109 @@ def test_write_parse_round_trip_property(fmt, unit, data):
         assert np.max(np.abs(getattr(back, name) - getattr(raw, name))) < 1e-10
 
 
+# ------------------------------------------------- byte-identity oracle
+#
+# The writers render whole columns through one "%.12g" row template. The
+# per-value writers below are the reference they must match byte for byte.
+
+
+_UNIT_TO_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".12g")
+
+
+def _complex_to_pair(fmt, s):
+    if fmt == "ri":
+        return s.real, s.imag
+    mag = abs(s)
+    ang = math.degrees(math.atan2(s.imag, s.real)) if mag > 0.0 else 0.0
+    if fmt == "ma":
+        return mag, ang
+    return (20.0 * math.log10(mag) if mag > 0.0 else -300.0), ang
+
+
+def _oracle_write_s2p(raw, unit="ghz", fmt="ri"):
+    lines = [
+        "! coaxfilt two-port export",
+        f"# {unit.upper()} S {fmt.upper()} R {_fmt(raw.z0_ohm)}",
+    ]
+    scale = _UNIT_TO_HZ[unit]
+    for i, f_hz in enumerate(raw.grid.points_hz):
+        fields = [_fmt(f_hz / scale)]
+        for s in (raw.s11[i], raw.s21[i], raw.s12[i], raw.s22[i]):
+            a, b = _complex_to_pair(fmt, complex(s))
+            fields += [_fmt(a), _fmt(b)]
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_export_csv(resp):
+    lines = [_RESP_HEADER]
+    for i, f_hz in enumerate(resp.grid.points_hz):
+        s11 = complex(resp.s11[i])
+        s21 = complex(resp.s21[i])
+        values = (f_hz, s11.real, s11.imag, s21.real, s21.imag,
+                  cf.magnitude_db(s11), cf.magnitude_db(s21))
+        lines.append(",".join(_fmt(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_material_to_csv(mat):
+    lines = [_MAT_HEADER]
+    for s in mat.samples:
+        lines.append(",".join(_fmt(v) for v in (s.f_hz, s.eps_rel, s.mu_rel, s.alpha_np_per_m)))
+    return "\n".join(lines) + "\n"
+
+
+# exact and signed zeros, the subnormal edge, magnitudes from 1e-12 to 1,
+# and 1e-15, whose dB value is exactly the -300 floor
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-15, -1e-15, 1.0, -1.0]),
+    st.floats(-1e-299, 1e-299),
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-12.0, 0.0), st.sampled_from([1.0, -1.0])),
+    st.floats(-1.0, 1.0),
+)
+_complex = st.builds(complex, _component, _component)
+
+
+@st.composite
+def _responses(draw, max_size=12):
+    n = draw(st.integers(0, max_size))
+    freqs = sorted(set(draw(st.lists(st.floats(1e3, 1e12), min_size=n, max_size=n))))
+    column = st.lists(_complex, min_size=len(freqs), max_size=len(freqs))
+    return np.array(freqs), [np.array(draw(column), dtype=complex) for _ in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_responses(), z0=st.sampled_from([50.0, 75.0, 12.5, 1e-3]))
+def test_writers_match_per_value_oracle(data, z0):
+    freqs, (s11, s21, s12, s22) = data
+    raw = _raw(freqs, s11, s21, s12=s12, s22=s22, z0=z0)
+    for fmt in ("ri", "ma", "db"):
+        for unit in _UNIT_TO_HZ:
+            assert cf.write_s2p(raw, unit=unit, fmt=fmt) == _oracle_write_s2p(raw, unit, fmt)
+    resp = cf.TwoPortResponse(grid=raw.grid, s11=s11, s21=s21, z0_ohm=z0)
+    assert cf.export_csv(resp) == _oracle_export_csv(resp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(1.0, 1e12), st.floats(1.0, 1e3), st.floats(1e-6, 1e3),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1e4))),
+        min_size=1,
+        max_size=12,
+        unique_by=lambda r: r[0],
+    )
+)
+def test_material_to_csv_matches_per_value_oracle(rows):
+    rows.sort()
+    mat = cf.MaterialModel.from_arrays(*zip(*rows))
+    assert cf.material_to_csv(mat) == _oracle_material_to_csv(mat)
+
+
 # -------------------------------------------------------------- symmetrize
 
 
@@ -276,3 +382,31 @@ def test_material_csv_errors():
     with pytest.raises(cf.ParseError) as err:
         cf.material_from_csv("f_hz,eps_rel,mu_rel,alpha_np_per_m\n1e9,4.0,1.0\n")
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "reader, text, line_no, token",
+    [
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,nan,1,0\n2e9,4,nan,inf\n", 2, "nan"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,1,0\n2e9,4,1,inf\n", 3, "inf"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n\n1e9,4,1,0\n2e9,-inf,1,0\n", 4, "-inf"),
+        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,0.1,0,nan,0,-20,0\n", 2, "nan"),
+        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,0.1,0,0.9,0,-20,-1\ninf,0,0,1,0,-300,0\n", 3, "inf"),
+    ],
+)
+def test_csv_readers_refuse_non_finite(reader, text, line_no, token):
+    with pytest.raises(cf.ParseError) as err:
+        reader(text)
+    assert err.value.line_no == line_no
+    assert f"non-finite number {token!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+def test_writers_refuse_non_finite(bad):
+    raw = _raw([1e9, 2e9], [0.1, bad], [0.9, 0.5])
+    for fmt in ("ri", "ma", "db"):
+        with pytest.raises(ValueError, match="non-finite"):
+            cf.write_s2p(raw, fmt=fmt)
+    resp = cf.TwoPortResponse(grid=raw.grid, s11=raw.s21, s21=raw.s11)
+    with pytest.raises(ValueError, match="non-finite"):
+        cf.export_csv(resp)

@@ -58,6 +58,12 @@ def test_material_sample_invariants():
         cf.MaterialSample(1e9, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         cf.MaterialSample(1e9, 1.0, 1.0, -1.0)
+    # NaN slips through every ordered comparison, so it is refused by name
+    for bad in (math.nan, math.inf, -math.inf):
+        for fields in ((bad, 4.0, 1.0, 0.0), (1e9, bad, 1.0, 0.0),
+                       (1e9, 4.0, bad, 0.0), (1e9, 4.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                cf.MaterialSample(*fields)
 
 
 def test_material_single_sample_is_frequency_independent():
