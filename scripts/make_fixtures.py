@@ -74,15 +74,7 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
             "outer_d_m": g42.outer_d_m,
         },
         "material": {
-            "samples": [
-                {
-                    "f_hz": s.f_hz,
-                    "eps_rel": s.eps_rel,
-                    "mu_rel": s.mu_rel,
-                    "alpha_np_per_m": s.alpha_np_per_m,
-                }
-                for s in mat.samples
-            ]
+            "samples": [s._asdict() for s in mat.samples]
         },
         "z0_ohm": 50.0,
         "grid": {"f_start_hz": 1e9, "f_stop_hz": 2e10, "n_points": 21, "spacing": "linear"},

@@ -69,7 +69,7 @@ def main() -> int:
                 m = report.material
                 mask = (f >= m.f_min_hz) & (f <= m.f_max_hz)
                 sub = cf.FrequencyGrid(f[mask])
-                pred = cf.predict(m, g36, sub, 50.0)
+                pred = cf.s_params_model(g36, m, sub, 50.0)
                 rel = np.abs(np.abs(pred.s21) - np.abs(truth36.s21[mask])) / np.abs(
                     truth36.s21[mask]
                 )

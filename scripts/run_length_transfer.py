@@ -70,11 +70,11 @@ def main() -> int:
         measured, g_cal, smooth_window=args.smooth_window, asymmetry_max=0.0
     )
     m = report.material
-    print(f"extraction: {len(m.samples)} samples, {len(report.flags)} flagged")
+    print(f"extraction: {len(m)} samples, {len(report.flags)} flagged")
 
     mask = (f >= m.f_min_hz) & (f <= m.f_max_hz)
     sub = cf.FrequencyGrid(f[mask])
-    pred = cf.predict(m, g_new, sub, 50.0)
+    pred = cf.s_params_model(g_new, m, sub, 50.0)
     truth = cf.s_params_model(g_new, mat, sub, 50.0)
     rel = np.abs(np.abs(pred.s21) - np.abs(truth.s21)) / np.abs(truth.s21)
 

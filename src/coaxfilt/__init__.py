@@ -18,9 +18,9 @@ from .errors import (
     NoSolutionError,
     OpenCircuitError,
     ParseError,
+    RowError,
     SingularInversionError,
     SingularNetworkError,
-    UnphysicalPointError,
     UnsupportedMaterialError,
 )
 from .extraction import (
@@ -29,8 +29,7 @@ from .extraction import (
     extract_material,
     impedance_from_reflection,
     invert_point,
-    material_from_point,
-    predict,
+    material_from_points,
     unwrap_gamma,
 )
 from .synthesis import (
@@ -55,15 +54,12 @@ from .txline import (
     DB_FLOOR,
     CoaxGeometry,
     FrequencyGrid,
-    LinePointParams,
     MaterialModel,
     MaterialSample,
     TwoPortResponse,
     abcd_of_line,
     abcd_to_s,
-    cascade,
     characteristic_impedance,
-    line_point_params,
     magnitude_db,
     propagation_constant,
     s_params_model,

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnsupportedMaterialError,
 )
-from .extraction import extract_material, predict
+from .extraction import count_flags, extract_material
 from .synthesis import (
     ComplianceTargets,
     alpha_affine_fit,
@@ -140,13 +140,9 @@ def _cmd_extract(args) -> int:
     n = len(resp.grid)
     print(f"asymmetry_max: {asym:.6g}")
     print(f"flagged: {len(report.flags)} of {n} points")
-    if report.flags:
-        reasons: dict[str, int] = {}
-        for reason in report.flags.values():
-            reasons[reason] = reasons.get(reason, 0) + 1
-        for reason in sorted(reasons):
-            print(f"  {reason}: {reasons[reason]}")
-    print(f"material samples: {len(report.material.samples)}")
+    for reason, count in count_flags(report.flags).items():
+        print(f"  {reason}: {count}")
+    print(f"material samples: {len(report.material)}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -172,7 +168,7 @@ def _cmd_predict(args) -> int:
             f"[{material.f_min_hz:g}, {material.f_max_hz:g}] Hz"
         )
 
-    resp = predict(material, geom, grid, z0_ohm=args.z0)
+    resp = s_params_model(geom, material, grid, z0_ohm=args.z0)
     _write_response(resp, args.out)
     print(f"predicted {len(grid)} points for length {geom.length_m:g} m")
     print(f"wrote {args.out}")

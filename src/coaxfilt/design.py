@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DesignError
+from .errors import DesignError, RowError
 from .synthesis import ComplianceTargets
 from .touchstone import material_from_csv
-from .txline import CoaxGeometry, FrequencyGrid, MaterialModel, MaterialSample
+from .txline import CoaxGeometry, FrequencyGrid, MaterialModel
 
 DEFAULT_GRID = {"f_start_hz": 1e7, "f_stop_hz": 2e10, "n_points": 2001, "spacing": "linear"}
 
@@ -74,26 +74,17 @@ def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
     raw = m["samples"]
     if not isinstance(raw, list) or not raw:
         raise DesignError("material.samples: must be a non-empty list")
-    samples = []
+    columns: list[list[float]] = [[], [], [], []]
     for i, row in enumerate(raw):
         path = f"material.samples[{i}]"
         if not isinstance(row, dict):
             raise DesignError(f"{path}: must be an object")
-        try:
-            samples.append(
-                MaterialSample(
-                    f_hz=_number(row, path, "f_hz"),
-                    eps_rel=_number(row, path, "eps_rel"),
-                    mu_rel=_number(row, path, "mu_rel"),
-                    alpha_np_per_m=_number(row, path, "alpha_np_per_m"),
-                )
-            )
-        except ValueError as err:
-            raise DesignError(f"{path}: {err}")
+        for column, key in zip(columns, ("f_hz", "eps_rel", "mu_rel", "alpha_np_per_m")):
+            column.append(_number(row, path, key))
     try:
-        return MaterialModel(samples)
-    except ValueError as err:
-        raise DesignError(f"material.samples: {err}")
+        return MaterialModel.from_arrays(*columns)
+    except RowError as err:
+        raise DesignError(f"material.samples[{err.row}]: {err.reason}")
 
 
 def _load_grid(doc: dict) -> FrequencyGrid:

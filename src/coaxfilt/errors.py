@@ -9,6 +9,15 @@ class CoaxfiltError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
+class RowError(ValueError):
+    """A table row breaks a type invariant; row is its 0-based index."""
+
+    def __init__(self, row: int, reason: str):
+        self.row = row
+        self.reason = reason
+        super().__init__(f"row {row}: {reason}")
+
+
 class FrequencyRangeError(CoaxfiltError):
     """Frequency outside the tabulated material sample range."""
 
@@ -39,10 +48,6 @@ class BranchAmbiguityError(CoaxfiltError):
 
 class OpenCircuitError(CoaxfiltError):
     """Reflection coefficient at +1; impedance is unbounded."""
-
-
-class UnphysicalPointError(CoaxfiltError):
-    """Recovered line quantities do not map to a physical material."""
 
 
 class ExtractionError(CoaxfiltError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +24,11 @@ from .errors import (
     NonPassiveDataError,
     OpenCircuitError,
     SingularInversionError,
-    UnphysicalPointError,
 )
 from .txline import (
     CoaxGeometry,
-    FrequencyGrid,
     MaterialModel,
-    MaterialSample,
     TwoPortResponse,
-    s_params_model,
 )
 
 # |S11| below this is treated as a perfectly matched point (Gamma = 0).
@@ -157,28 +154,24 @@ def impedance_from_reflection(gamma_refl: complex, z0_ohm: float) -> complex:
     return z0_ohm * (1.0 + gamma_refl) / den
 
 
-def material_from_point(
-    gamma: complex, z_ohm: float, geom: CoaxGeometry, f_hz: float
-) -> MaterialSample:
-    """Invert (gamma, Z) at one frequency into a MaterialSample.
+def material_from_points(gamma, z_ohm, geom: CoaxGeometry, f_hz):
+    """Invert (gamma, Z) arrays, one entry per frequency, into material columns.
 
     n = Im(gamma)*c/(2*pi*f) recovers sqrt(eps*mu); w from the coaxial
     impedance formula recovers sqrt(mu/eps); their product and ratio
-    separate mu and eps. alpha is Re(gamma) directly.
+    separate mu and eps. alpha is Re(gamma) directly. Returns
+    (eps_rel, mu_rel, alpha_np_per_m, unphysical): unphysical marks
+    entries with n <= 0, w <= 0 or eps below 1 - 1e-9, whose values are
+    meaningless. eps in [1 - 1e-9, 1) is rounded up to exactly 1, a
+    rounding guard for exactly-vacuum data.
     """
-    n = gamma.imag * C0 / (2.0 * np.pi * f_hz)
-    w = 2.0 * np.pi * z_ohm / (ETA0 * geom.log_diameter_ratio)
-    if n <= 0.0 or w <= 0.0:
-        raise UnphysicalPointError(
-            f"sqrt(eps*mu)={n:.6g}, sqrt(mu/eps)={w:.6g}; not a physical material"
-        )
-    mu = n * w
-    eps = n / w
-    if eps < 1.0:
-        if eps < 1.0 - 1e-9:
-            raise UnphysicalPointError(f"recovered eps_rel={eps:.12g} below 1")
-        eps = 1.0  # rounding guard for exactly-vacuum data
-    return MaterialSample(f_hz=f_hz, eps_rel=eps, mu_rel=mu, alpha_np_per_m=gamma.real)
+    gamma = np.asarray(gamma, dtype=complex)
+    n = gamma.imag * C0 / (2.0 * np.pi * np.asarray(f_hz, dtype=float))
+    w = 2.0 * np.pi * np.asarray(z_ohm, dtype=float) / (ETA0 * geom.log_diameter_ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = n / w
+    unphysical = ~((n > 0.0) & (w > 0.0) & (eps >= 1.0 - 1e-9))
+    return np.maximum(eps, 1.0), n * w, gamma.real, unphysical
 
 
 def moving_median(values: np.ndarray, window: int) -> np.ndarray:
@@ -207,8 +200,8 @@ def extract_material(
     """Invert a measured symmetric response into a MaterialModel.
 
     Runs invert_point per frequency, unwraps the propagation factor
-    across the grid, and converts each surviving point to a material
-    sample. Points that fail any stage are flagged and excluded from the
+    across the grid, and converts the surviving points to material
+    columns in one array pass. Points that fail any stage are flagged and excluded from the
     material table; more than 50% flagged raises ExtractionError.
     smooth_window (odd, 1 = off) applies a moving median to the
     recovered eps, mu and alpha columns.
@@ -264,7 +257,7 @@ def extract_material(
             active.remove(victim)
 
     points: list[ExtractionPoint] = []
-    samples: list[tuple[int, MaterialSample]] = []
+    kept: list[tuple[int, ExtractionPoint]] = []  # candidates for the material table
     for i, gamma, branch in zip(active, gammas, branches):
         g_refl, p = inverted[i]
         try:
@@ -272,37 +265,41 @@ def extract_material(
         except OpenCircuitError:
             flags[i] = "open-circuit"
             continue
-        points.append(
-            ExtractionPoint(
-                f_hz=float(f[i]),
-                gamma_refl=g_refl,
-                prop_factor=p,
-                gamma=gamma,
-                z_ohm=z,
-                branch_index=branch,
-            )
+        point = ExtractionPoint(
+            f_hz=float(f[i]),
+            gamma_refl=g_refl,
+            prop_factor=p,
+            gamma=gamma,
+            z_ohm=z,
+            branch_index=branch,
         )
+        points.append(point)
         if gamma.real < 0.0:
             flags[i] = "negative-alpha"
-            continue
-        try:
-            samples.append((i, material_from_point(gamma, z.real, geom, float(f[i]))))
-        except UnphysicalPointError:
-            flags[i] = "unphysical-material"
+        else:
+            kept.append((i, point))
 
-    if too_many_flagged() or not samples:
+    fs = np.array([pt.f_hz for _, pt in kept])
+    eps, mu, alpha, unphysical = material_from_points(
+        [pt.gamma for _, pt in kept], [pt.z_ohm.real for _, pt in kept], geom, fs
+    )
+    for k in np.flatnonzero(unphysical):
+        flags[kept[k][0]] = "unphysical-material"
+    good = ~unphysical
+    if too_many_flagged() or not good.any():
         raise ExtractionError(
             f"{len(flags)} of {n} points unusable: " + _summarize_flags(flags),
             flags=flags,
         )
 
     # An odd-window median always returns one of the input values, so the
-    # smoothed columns cannot leave the valid sample domain.
-    fs = np.array([s.f_hz for _, s in samples])
-    eps = moving_median(np.array([s.eps_rel for _, s in samples]), smooth_window)
-    mu = moving_median(np.array([s.mu_rel for _, s in samples]), smooth_window)
-    alpha = moving_median(np.array([s.alpha_np_per_m for _, s in samples]), smooth_window)
-    material = MaterialModel.from_arrays(fs, eps, mu, alpha)
+    # smoothed columns cannot leave the valid material domain.
+    material = MaterialModel.from_arrays(
+        fs[good],
+        moving_median(eps[good], smooth_window),
+        moving_median(mu[good], smooth_window),
+        moving_median(alpha[good], smooth_window),
+    )
 
     return ExtractionReport(
         points=points,
@@ -312,19 +309,11 @@ def extract_material(
     )
 
 
-def predict(
-    material: MaterialModel,
-    new_geom: CoaxGeometry,
-    grid: FrequencyGrid,
-    z0_ohm: float = 50.0,
-) -> TwoPortResponse:
-    """Model a filter of another geometry from an extracted material."""
-    return s_params_model(new_geom, material, grid, z0_ohm)
+def count_flags(flags: dict[int, str]) -> dict[str, int]:
+    """Number of flagged points per reason, in reason order."""
+    return dict(sorted(Counter(flags.values()).items()))
 
 
 def _summarize_flags(flags: dict[int, str]) -> str:
-    by_reason: dict[str, int] = {}
-    for reason in flags.values():
-        by_reason[reason] = by_reason.get(reason, 0) + 1
-    parts = [f"{reason} x{count}" for reason, count in sorted(by_reason.items())]
+    parts = [f"{reason} x{count}" for reason, count in count_flags(flags).items()]
     return ", ".join(parts) if parts else "none"

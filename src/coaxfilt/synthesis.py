@@ -72,9 +72,8 @@ def alpha_affine_fit(mat: MaterialModel) -> tuple[float, float, float]:
     absolute fit error normalized by the largest |alpha| (0 if alpha is
     identically zero). A single-sample material fits as constant.
     """
-    f = np.array([s.f_hz for s in mat.samples])
-    alpha = np.array([s.alpha_np_per_m for s in mat.samples])
-    if len(mat.samples) == 1:
+    f, _, _, alpha = mat.table
+    if len(mat) == 1:
         return float(alpha[0]), 0.0, 0.0
     a1, a0 = np.polyfit(f, alpha, 1)
     resid = np.max(np.abs(a0 + a1 * f - alpha))
@@ -99,7 +98,7 @@ def solve_length_for_slope(target_slope_db_per_ghz: float, mat: MaterialModel) -
     # the fit of constant data can return a slope at rounding level; treat a
     # slope contributing nothing across the band as zero
     span = mat.f_max_hz - mat.f_min_hz
-    scale = max(s.alpha_np_per_m for s in mat.samples)
+    scale = float(np.max(mat.table[3]))
     if a1 <= 0.0 or a1 * span <= 1e-12 * scale:
         raise NoSolutionError("alpha slope is not positive; no length gives the target")
     return target_slope_db_per_ghz / (NP_TO_DB * a1 * 1e9)

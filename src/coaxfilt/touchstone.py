@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, RowError
 from .txline import DB_FLOOR, FrequencyGrid, MaterialModel, TwoPortResponse, magnitude_db
 
 UNIT_TO_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -50,6 +50,8 @@ class RawTwoPort:
             setattr(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} length must equal the grid length")
+        if self.z0_ohm <= 0.0:
+            raise ValueError("z0_ohm must be > 0")
 
 
 def _render(sep: str, columns: list[list[float]]) -> list[str]:
@@ -246,10 +248,11 @@ def export_csv(resp: TwoPortResponse) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_csv(text: str, header: str, kind: str) -> tuple[int, list[list[float]]]:
-    """Data rows of a toolkit CSV, plus the number of its last non-blank line.
+def _read_csv(text: str, header: str, kind: str) -> tuple[list[int], list[list[float]]]:
+    """Data rows of a toolkit CSV, plus the line number of the header and of each row.
 
-    Blank lines are skipped; error line numbers count them.
+    Blank lines are skipped; line numbers count them. Data row k is on
+    line line_nos[k + 1].
     """
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not numbered:
@@ -270,17 +273,24 @@ def _read_csv(text: str, header: str, kind: str) -> tuple[int, list[list[float]]
             if not math.isfinite(v):
                 raise ParseError(line_no, f"non-finite number {tok.strip()!r}")
         rows.append(values)
-    return numbered[-1][0], rows
+    return [no for no, _ in numbered], rows
+
+
+def _table_error(line_nos: list[int], err: ValueError) -> ParseError:
+    """The ParseError for a table built from _read_csv rows: at the bad row, else the last line."""
+    if isinstance(err, RowError):
+        return ParseError(line_nos[err.row + 1], err.reason)
+    return ParseError(line_nos[-1], str(err))
 
 
 def response_from_csv(text: str, z0_ohm: float = 50.0) -> TwoPortResponse:
     """Read a response CSV written by export_csv back into a TwoPortResponse."""
-    last_line, rows = _read_csv(text, RESPONSE_CSV_HEADER, "response")
+    line_nos, rows = _read_csv(text, RESPONSE_CSV_HEADER, "response")
     data = np.array(rows).reshape(len(rows), 7)
     try:
         grid = FrequencyGrid(data[:, 0])
     except ValueError as err:
-        raise ParseError(last_line, str(err))
+        raise _table_error(line_nos, err)
     # viewing the re/im pairs as complex keeps signed zeros, which re + 1j*im would not
     s = data[:, 1:5].copy().view(complex)
     return TwoPortResponse(grid=grid, s11=s[:, 0], s21=s[:, 1], z0_ohm=z0_ohm)
@@ -292,8 +302,8 @@ def material_to_csv(mat: MaterialModel) -> str:
 
 
 def material_from_csv(text: str) -> MaterialModel:
-    last_line, rows = _read_csv(text, MATERIAL_CSV_HEADER, "material")
+    line_nos, rows = _read_csv(text, MATERIAL_CSV_HEADER, "material")
     try:
         return MaterialModel.from_arrays(*np.array(rows).reshape(len(rows), 4).T)
     except ValueError as err:
-        raise ParseError(last_line, str(err))
+        raise _table_error(line_nos, err)

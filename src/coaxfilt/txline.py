@@ -12,17 +12,40 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import C0, ETA0
-from .errors import FrequencyRangeError, SingularNetworkError
+from .errors import FrequencyRangeError, RowError, SingularNetworkError
 
 # Sentinel for 20*log10(0); below any physical measurement floor.
 DB_FLOOR = -300.0
 
 # Beyond this attenuation exp(-gamma*l) is treated as exactly zero.
 _ALPHA_L_CUTOFF = 700.0
+
+
+def _not_increasing(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries not above their predecessor (never the first)."""
+    bad = np.zeros(x.shape, dtype=bool)
+    bad[1:] = ~(x[1:] > x[:-1])
+    return bad
+
+
+def _refuse_bad_rows(checks: list[tuple[np.ndarray, np.ndarray, str]]) -> None:
+    """Raise RowError for the first row that any (bad_mask, values, message) marks.
+
+    Within that row the first check listed wins; "{}" in its message is
+    filled with the row's value.
+    """
+    bad = np.array([mask for mask, _, _ in checks])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        row = int(rows[0])
+        _, values, message = checks[int(np.argmax(bad[:, row]))]
+        raise RowError(row, message.format(float(values[row])))
 
 
 @dataclass(frozen=True)
@@ -52,7 +75,7 @@ class CoaxGeometry:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing frequency points in Hz, DC excluded."""
+    """Strictly increasing, finite frequencies in Hz, DC excluded; RowError names a bad one."""
 
     points_hz: np.ndarray
 
@@ -61,10 +84,13 @@ class FrequencyGrid:
         object.__setattr__(self, "points_hz", pts)
         if pts.ndim != 1:
             raise ValueError("frequency grid must be one-dimensional")
-        if pts.size and pts[0] <= 0.0:
-            raise ValueError("all grid frequencies must be > 0 (DC excluded)")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
-            raise ValueError("grid frequencies must be strictly increasing")
+        _refuse_bad_rows(
+            [
+                (~np.isfinite(pts), pts, "grid frequencies must be finite, got {}"),
+                (pts <= 0.0, pts, "all grid frequencies must be > 0 (DC excluded)"),
+                (_not_increasing(pts), pts, "grid frequencies must be strictly increasing"),
+            ]
+        )
 
     def __len__(self) -> int:
         return int(self.points_hz.size)
@@ -78,70 +104,74 @@ class FrequencyGrid:
         return FrequencyGrid(np.linspace(f_start_hz, f_stop_hz, n_points))
 
 
-@dataclass(frozen=True)
-class MaterialSample:
-    """Effective compound parameters at one frequency."""
+class MaterialSample(NamedTuple):
+    """One row of a MaterialModel table: a plain view, not validated."""
 
     f_hz: float
     eps_rel: float
     mu_rel: float
     alpha_np_per_m: float
 
-    def __post_init__(self) -> None:
-        # Each test also refuses NaN, which fails every comparison, and inf.
-        # Extraction builds thousands of samples, so keep these to one
-        # chained comparison each.
-        inf = math.inf
-        if not -inf < self.f_hz < inf:
-            raise ValueError(f"f_hz must be finite, got {self.f_hz}")
-        if not 1.0 <= self.eps_rel < inf:
-            raise ValueError(f"eps_rel must be finite and >= 1, got {self.eps_rel}")
-        if not 0.0 < self.mu_rel < inf:
-            raise ValueError(f"mu_rel must be finite and > 0, got {self.mu_rel}")
-        if not 0.0 <= self.alpha_np_per_m < inf:
-            raise ValueError(f"alpha_np_per_m must be finite and >= 0, got {self.alpha_np_per_m}")
-
 
 class MaterialModel:
     """Tabulated eps/mu/alpha with piecewise-linear interpolation in f.
 
-    A single sample means a frequency-independent material. With two or
-    more samples, evaluation outside [f_min, f_max] raises; there is no
-    extrapolation.
+    The table is four read-only columns, one row per frequency. A single
+    row means a frequency-independent material. With two or more rows,
+    evaluation outside [f_min, f_max] raises; there is no extrapolation.
     """
 
-    def __init__(self, samples: list[MaterialSample] | tuple[MaterialSample, ...]):
-        samples = tuple(samples)
-        if not samples:
+    def __init__(self, f_hz, eps_rel, mu_rel, alpha_np_per_m):
+        """Validate the columns as arrays and store them read-only.
+
+        Each row needs f finite and above the previous row's f, 1 <= eps < inf,
+        0 < mu < inf and 0 <= alpha < inf; the first row that breaks a rule
+        raises RowError with its 0-based index.
+        """
+        table = tuple(np.array(c, dtype=float) for c in (f_hz, eps_rel, mu_rel, alpha_np_per_m))
+        f, eps, mu, alpha = table
+        if f.ndim != 1 or any(c.shape != f.shape for c in table):
+            raise ValueError("material columns must be one-dimensional and of equal length")
+        if not f.size:
             raise ValueError("material model needs at least one sample")
-        f = np.array([s.f_hz for s in samples])
-        if f.size > 1 and not np.all(np.diff(f) > 0.0):
-            raise ValueError("material samples must be on a strictly increasing grid")
-        self.samples = samples
-        self._f = f
-        self._eps = np.array([s.eps_rel for s in samples])
-        self._mu = np.array([s.mu_rel for s in samples])
-        self._alpha = np.array([s.alpha_np_per_m for s in samples])
-        for column in self.table:
+        _refuse_bad_rows(
+            [
+                (~np.isfinite(f), f, "f_hz must be finite, got {}"),
+                (_not_increasing(f), f, "material samples must be on a strictly increasing grid"),
+                (~np.isfinite(eps) | (eps < 1.0), eps, "eps_rel must be finite and >= 1, got {}"),
+                (~np.isfinite(mu) | (mu <= 0.0), mu, "mu_rel must be finite and > 0, got {}"),
+                (
+                    ~np.isfinite(alpha) | (alpha < 0.0),
+                    alpha,
+                    "alpha_np_per_m must be finite and >= 0, got {}",
+                ),
+            ]
+        )
+        for column in table:
             column.flags.writeable = False
+        self._f, self._eps, self._mu, self._alpha = table
 
     @classmethod
     def constant(cls, eps_rel: float, mu_rel: float, alpha_np_per_m: float) -> "MaterialModel":
-        return cls([MaterialSample(1.0, eps_rel, mu_rel, alpha_np_per_m)])
+        return cls([1.0], [eps_rel], [mu_rel], [alpha_np_per_m])
 
     @classmethod
     def from_arrays(cls, f_hz, eps_rel, mu_rel, alpha_np_per_m) -> "MaterialModel":
-        return cls(
-            [
-                MaterialSample(float(f), float(e), float(m), float(a))
-                for f, e, m, a in zip(f_hz, eps_rel, mu_rel, alpha_np_per_m)
-            ]
-        )
+        """Build from the four columns; the same as calling the class."""
+        return cls(f_hz, eps_rel, mu_rel, alpha_np_per_m)
+
+    def __len__(self) -> int:
+        return int(self._f.size)
 
     @property
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The tabulated (f_hz, eps_rel, mu_rel, alpha_np_per_m) columns, read-only."""
         return self._f, self._eps, self._mu, self._alpha
+
+    @cached_property
+    def samples(self) -> tuple[MaterialSample, ...]:
+        """The table as MaterialSample rows, built on first access."""
+        return tuple(MaterialSample(*row) for row in zip(*(c.tolist() for c in self.table)))
 
     @property
     def f_min_hz(self) -> float:
@@ -152,7 +182,7 @@ class MaterialModel:
         return float(self._f[-1])
 
     def covers(self, f_hz) -> bool:
-        if len(self.samples) == 1:
+        if len(self) == 1:
             return True
         f = np.asarray(f_hz, dtype=float)
         return bool(np.all(f >= self._f[0]) and np.all(f <= self._f[-1]))
@@ -163,7 +193,7 @@ class MaterialModel:
         Accepts a scalar or an array; shapes follow numpy broadcasting.
         """
         f = np.asarray(f_hz, dtype=float)
-        if len(self.samples) == 1:
+        if len(self) == 1:
             one = np.ones_like(f)
             return self._eps[0] * one, self._mu[0] * one, self._alpha[0] * one
         if not self.covers(f):
@@ -174,21 +204,6 @@ class MaterialModel:
         mu = np.interp(f, self._f, self._mu)
         alpha = np.interp(f, self._f, self._alpha)
         return eps, mu, alpha
-
-
-@dataclass(frozen=True)
-class LinePointParams:
-    """Derived line quantities at one frequency."""
-
-    f_hz: float
-    z_ohm: float
-    gamma: complex
-
-    def __post_init__(self) -> None:
-        if self.z_ohm <= 0.0:
-            raise ValueError("z_ohm must be > 0")
-        if self.gamma.real < 0.0 or self.gamma.imag < 0.0:
-            raise ValueError("gamma must have non-negative real and imaginary parts")
 
 
 @dataclass
@@ -231,14 +246,6 @@ def characteristic_impedance(geom: CoaxGeometry, mat: MaterialModel, f_hz):
     if np.isscalar(f_hz):
         return float(z)
     return z
-
-
-def line_point_params(geom: CoaxGeometry, mat: MaterialModel, f_hz: float) -> LinePointParams:
-    return LinePointParams(
-        f_hz=float(f_hz),
-        z_ohm=characteristic_impedance(geom, mat, float(f_hz)),
-        gamma=propagation_constant(mat, float(f_hz)),
-    )
 
 
 def s_params_model(
@@ -307,11 +314,6 @@ def abcd_to_s(abcd: np.ndarray, z0_ohm: float) -> tuple[complex, complex]:
     s11 = (a + b / z0_ohm - c * z0_ohm - d) / den
     s21 = 2.0 / den
     return complex(s11), complex(s21)
-
-
-def cascade(abcd_a: np.ndarray, abcd_b: np.ndarray) -> np.ndarray:
-    """Chain two ABCD blocks (port 2 of a into port 1 of b)."""
-    return abcd_a @ abcd_b
 
 
 def magnitude_db(s):

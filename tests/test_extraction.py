@@ -165,10 +165,11 @@ def test_material_from_point_round_trip():
     f = 3e9
     gamma = cf.propagation_constant(mat, f)
     z = cf.characteristic_impedance(geom, mat, f)
-    s = cf.material_from_point(gamma, z, geom, f)
-    assert s.eps_rel == pytest.approx(5.0, rel=1e-9)
-    assert s.mu_rel == pytest.approx(1.0, rel=1e-9)
-    assert s.alpha_np_per_m == pytest.approx(20.0, rel=1e-9)
+    eps, mu, alpha, unphysical = cf.material_from_points([gamma], [z], geom, [f])
+    assert eps[0] == pytest.approx(5.0, rel=1e-9)
+    assert mu[0] == pytest.approx(1.0, rel=1e-9)
+    assert alpha[0] == pytest.approx(20.0, rel=1e-9)
+    assert not unphysical.any()
 
 
 def test_material_from_point_vacuum():
@@ -176,9 +177,13 @@ def test_material_from_point_vacuum():
     f = 1e9
     z = cf.CONSTANTS.eta0 / (2.0 * math.pi)  # ln(D/d) = 1
     beta = 2.0 * math.pi * f / cf.CONSTANTS.c
-    s = cf.material_from_point(1j * beta, z, geom, f)
-    assert s.eps_rel == pytest.approx(1.0, abs=1e-12)
-    assert s.mu_rel == pytest.approx(1.0, rel=1e-12)
+    eps, mu, _, unphysical = cf.material_from_points(
+        [1j * beta, 1j * beta], [z, z * (1.0 + 1e-10)], geom, [f, f]
+    )
+    assert eps[0] == pytest.approx(1.0, abs=1e-12)
+    assert mu[0] == pytest.approx(1.0, rel=1e-12)
+    # vacuum whose eps rounds just below 1 is clamped to exactly 1
+    assert eps[1] == 1.0 and not unphysical.any()
 
 
 def test_material_from_point_mu_only():
@@ -187,20 +192,23 @@ def test_material_from_point_mu_only():
     f = 2e9
     gamma = cf.propagation_constant(mat, f)
     z = cf.characteristic_impedance(geom, mat, f)
-    s = cf.material_from_point(gamma, z, geom, f)
-    assert s.eps_rel == pytest.approx(1.0, rel=1e-9)
-    assert s.mu_rel == pytest.approx(2.25, rel=1e-9)
+    eps, mu, _, unphysical = cf.material_from_points([gamma], [z], geom, [f])
+    assert eps[0] == pytest.approx(1.0, rel=1e-9)
+    assert mu[0] == pytest.approx(2.25, rel=1e-9)
+    assert not unphysical.any()
 
 
 def test_material_from_point_unphysical():
     geom = cf.CoaxGeometry(0.042, INNER_D, OUTER_D)
-    with pytest.raises(cf.UnphysicalPointError):
-        cf.material_from_point(1.0 - 5.0j, 50.0, geom, 1e9)  # negative beta
-    with pytest.raises(cf.UnphysicalPointError):
-        cf.material_from_point(1.0 + 5.0e3j, -50.0, geom, 1e9)  # negative Z
-    with pytest.raises(cf.UnphysicalPointError):
-        # eps far below 1: huge apparent sqrt(mu/eps) at tiny sqrt(eps*mu)
-        cf.material_from_point(0.0 + 0.05j, 500.0, geom, 1e9)
+    gamma, z = zip(
+        (1.0 - 5.0j, 50.0),  # negative beta
+        (1.0 + 5.0e3j, -50.0),  # negative Z
+        (1.0 + 5.0e3j, 0.0),  # zero Z
+        (0.0 + 0.05j, 500.0),  # eps far below 1: huge apparent sqrt(mu/eps) at tiny sqrt(eps*mu)
+        (0.0 + 50.0j, 50.0),  # physical, eps about 1.3
+    )
+    *_, unphysical = cf.material_from_points(gamma, z, geom, [1e9] * 5)
+    assert unphysical.tolist() == [True, True, True, True, False]
 
 
 # ----------------------------------------------------------- extraction
@@ -212,11 +220,8 @@ def test_extract_material_noiseless_round_trip():
     resp = _synthetic_response(mat, geom)
     report = cf.extract_material(resp, geom)
     assert not report.flags
-    fe = np.array([s.f_hz for s in report.material.samples])
+    fe, eps_e, mu_e, alpha_e = report.material.table
     eps_t, mu_t, alpha_t = mat.eval(fe)
-    eps_e = np.array([s.eps_rel for s in report.material.samples])
-    mu_e = np.array([s.mu_rel for s in report.material.samples])
-    alpha_e = np.array([s.alpha_np_per_m for s in report.material.samples])
     assert np.max(np.abs(eps_e - eps_t) / eps_t) < 1e-6
     assert np.max(np.abs(mu_e - mu_t) / mu_t) < 1e-6
     assert np.max(np.abs(alpha_e - alpha_t) / np.maximum(alpha_t, 1.0)) < 1e-6
@@ -301,8 +306,7 @@ def test_extract_material_smoothing_reduces_noise():
     )
 
     def alpha_rms(report):
-        fe = np.array([s.f_hz for s in report.material.samples])
-        alpha_e = np.array([s.alpha_np_per_m for s in report.material.samples])
+        fe, _, _, alpha_e = report.material.table
         _, _, alpha_t = mat.eval(fe)
         return math.sqrt(float(np.mean((alpha_e - alpha_t) ** 2)))
 
@@ -331,8 +335,8 @@ def test_predict_self_is_consistent():
     geom = cf.CoaxGeometry(0.042, INNER_D, OUTER_D)
     resp = _synthetic_response(mat, geom)
     report = cf.extract_material(resp, geom)
-    sub = cf.FrequencyGrid(np.array([s.f_hz for s in report.material.samples]))
-    again = cf.predict(report.material, geom, sub, resp.z0_ohm)
+    sub = cf.FrequencyGrid(report.material.table[0])
+    again = cf.s_params_model(geom, report.material, sub, resp.z0_ohm)
     assert np.max(np.abs(again.s11 - resp.s11)) < 1e-9
     assert np.max(np.abs(again.s21 - resp.s21)) < 1e-9
 
@@ -343,8 +347,8 @@ def test_predict_cross_length_noiseless():
     g36 = cf.CoaxGeometry(0.036, INNER_D, OUTER_D)
     resp = _synthetic_response(mat, g42)
     report = cf.extract_material(resp, g42)
-    sub = cf.FrequencyGrid(np.array([s.f_hz for s in report.material.samples]))
-    pred = cf.predict(report.material, g36, sub)
+    sub = cf.FrequencyGrid(report.material.table[0])
+    pred = cf.s_params_model(g36, report.material, sub)
     truth = cf.s_params_model(g36, mat, sub, 50.0)
     rel = np.abs(np.abs(pred.s21) - np.abs(truth.s21)) / np.abs(truth.s21)
     assert np.max(rel) < 1e-6
@@ -353,11 +357,11 @@ def test_predict_cross_length_noiseless():
 def test_predict_db_scales_with_length():
     mat, g42, _ = matched_material_and_geoms()
     grid = cf.FrequencyGrid.linear(1e9, 1.9e10, 25)
-    base = cf.predict(mat, g42, grid)
+    base = cf.s_params_model(g42, mat, grid)
     db42 = -cf.magnitude_db(base.s21)
     for scale in (2.0, 3.0):
         geom = cf.CoaxGeometry(0.042 * scale, g42.inner_d_m, g42.outer_d_m)
-        db = -cf.magnitude_db(cf.predict(mat, geom, grid).s21)
+        db = -cf.magnitude_db(cf.s_params_model(geom, mat, grid).s21)
         assert np.max(np.abs(db / db42 - scale)) < 1e-9
 
 
@@ -375,9 +379,7 @@ def test_extraction_round_trip_property(eps0, deps, mu0, alpha_hi, length):
     geom = cf.CoaxGeometry(length, INNER_D, OUTER_D)
     resp = _synthetic_response(mat, geom, n=801)
     report = cf.extract_material(resp, geom)
-    fe = np.array([s.f_hz for s in report.material.samples])
+    fe, eps_e, mu_e, _ = report.material.table
     eps_t, mu_t, _ = mat.eval(fe)
-    eps_e = np.array([s.eps_rel for s in report.material.samples])
-    mu_e = np.array([s.mu_rel for s in report.material.samples])
     assert np.max(np.abs(eps_e - eps_t) / eps_t) < 1e-6
     assert np.max(np.abs(mu_e - mu_t) / mu_t) < 1e-6

@@ -384,21 +384,35 @@ def test_material_csv_errors():
     assert err.value.line_no == 2
 
 
+# Every bad table is refused at the line of its first bad row, counting blank lines.
 @pytest.mark.parametrize(
-    "reader, text, line_no, token",
+    "reader, text, line_no, message",
     [
-        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,nan,1,0\n2e9,4,nan,inf\n", 2, "nan"),
-        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,1,0\n2e9,4,1,inf\n", 3, "inf"),
-        (cf.material_from_csv, f"{_MAT_HEADER}\n\n1e9,4,1,0\n2e9,-inf,1,0\n", 4, "-inf"),
-        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,0.1,0,nan,0,-20,0\n", 2, "nan"),
-        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,0.1,0,0.9,0,-20,-1\ninf,0,0,1,0,-300,0\n", 3, "inf"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,nan,1,0\n2e9,4,nan,inf\n", 2,
+         "non-finite number 'nan'"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,1,0\n2e9,4,1,inf\n", 3,
+         "non-finite number 'inf'"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n\n1e9,4,1,0\n2e9,-inf,1,0\n", 4,
+         "non-finite number '-inf'"),
+        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,0.1,0,nan,0,-20,0\n", 2,
+         "non-finite number 'nan'"),
+        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,0.1,0,0.9,0,-20,-1\ninf,0,0,1,0,-300,0\n", 3,
+         "non-finite number 'inf'"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,0.5,1,0\n2e9,4,1,0\n3e9,4,1,0\n", 2,
+         "eps_rel must be finite and >= 1, got 0.5"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,1,0\n\n1e9,4,1,0\n2e9,4,1,0\n", 4,
+         "material samples must be on a strictly increasing grid"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n", 1, "material model needs at least one sample"),
+        (cf.response_from_csv,
+         f"{_RESP_HEADER}\n2e9,0,0,1,0,-300,0\n1e9,0,0,1,0,-300,0\n3e9,0,0,1,0,-300,0\n", 3,
+         "grid frequencies must be strictly increasing"),
     ],
 )
-def test_csv_readers_refuse_non_finite(reader, text, line_no, token):
+def test_csv_readers_refuse_non_finite(reader, text, line_no, message):
     with pytest.raises(cf.ParseError) as err:
         reader(text)
     assert err.value.line_no == line_no
-    assert f"non-finite number {token!r}" in str(err.value)
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])

@@ -48,22 +48,34 @@ def test_grid_invariants():
         cf.FrequencyGrid(np.array([2e9, 1e9]))
     with pytest.raises(ValueError):
         cf.FrequencyGrid(np.array([1e9, 1e9]))
+    for bad in ([math.nan], [1e9, math.inf], [1e9, math.nan, 3e9]):
+        with pytest.raises(ValueError, match="finite"):
+            cf.FrequencyGrid(np.array(bad))
     assert len(cf.FrequencyGrid.linear(1e7, 2e10, 11)) == 11
 
 
+def _bad_row(*rows):
+    """The RowError of a material table built from rows, each (f, eps, mu, alpha)."""
+    with pytest.raises(cf.RowError) as err:
+        cf.MaterialModel.from_arrays(*zip(*rows))
+    return err.value
+
+
 def test_material_sample_invariants():
-    with pytest.raises(ValueError):
-        cf.MaterialSample(1e9, 0.5, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        cf.MaterialSample(1e9, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        cf.MaterialSample(1e9, 1.0, 1.0, -1.0)
+    good = (1e9, 4.0, 1.0, 0.0)
+    for fields in ((2e9, 0.5, 1.0, 0.0), (2e9, 1.0, 0.0, 0.0), (2e9, 1.0, 1.0, -1.0)):
+        assert _bad_row(good, fields).row == 1
     # NaN slips through every ordered comparison, so it is refused by name
     for bad in (math.nan, math.inf, -math.inf):
-        for fields in ((bad, 4.0, 1.0, 0.0), (1e9, bad, 1.0, 0.0),
-                       (1e9, 4.0, bad, 0.0), (1e9, 4.0, 1.0, bad)):
-            with pytest.raises(ValueError, match="finite"):
-                cf.MaterialSample(*fields)
+        for fields in ((bad, 4.0, 1.0, 0.0), (3e9, bad, 1.0, 0.0),
+                       (3e9, 4.0, bad, 0.0), (3e9, 4.0, 1.0, bad)):
+            err = _bad_row(good, (2e9, 4.0, 1.0, 0.0), fields)
+            assert err.row == 2 and "finite" in str(err)
+    # the first bad row is named, whichever rule it breaks
+    assert _bad_row(good, (0.5e9, 4.0, 1.0, 0.0), (3e9, 0.5, 1.0, 0.0)).row == 1
+    assert _bad_row(good, (2e9, 4.0, 1.0, 0.0), (2e9, 0.5, 1.0, 0.0)).row == 2
+    with pytest.raises(ValueError):
+        cf.MaterialModel.from_arrays([], [], [], [])
 
 
 def test_material_single_sample_is_frequency_independent():
@@ -131,14 +143,6 @@ def test_characteristic_impedance_eps_equals_mu():
     vac = cf.characteristic_impedance(geom, cf.MaterialModel.constant(1.0, 1.0, 0.0), 1e9)
     z = cf.characteristic_impedance(geom, cf.MaterialModel.constant(2.5, 2.5, 0.0), 1e9)
     assert z == pytest.approx(vac, rel=1e-14)
-
-
-def test_line_point_params():
-    geom = cf.CoaxGeometry(0.042, 0.0051, 0.008)
-    mat = cf.MaterialModel.constant(4.0, 1.0, 3.0)
-    p = cf.line_point_params(geom, mat, 1e9)
-    assert p.z_ohm == pytest.approx(cf.characteristic_impedance(geom, mat, 1e9))
-    assert p.gamma.real == 3.0 and p.gamma.imag > 0.0
 
 
 def _matched_setup(alpha=0.0, eps=2.0, mu=2.0):
@@ -255,7 +259,7 @@ def test_oracle_equivalence_random_draws():
 
 def test_cascade_identity():
     x = np.array([[1.0 + 1j, 2.0], [0.5j, 3.0]], dtype=complex)
-    assert np.array_equal(cf.cascade(np.eye(2, dtype=complex), x), x)
+    assert np.array_equal(np.eye(2, dtype=complex) @ x, x)
 
 
 def test_cascade_matched_lengths_add():
@@ -263,7 +267,7 @@ def test_cascade_matched_lengths_add():
     g1 = cf.CoaxGeometry(0.01, 0.0051, 0.008)
     g2 = cf.CoaxGeometry(0.03, 0.0051, 0.008)
     z = cf.characteristic_impedance(g1, mat, 1e9)
-    abcd = cf.cascade(cf.abcd_of_line(g1, mat, 1e9), cf.abcd_of_line(g2, mat, 1e9))
+    abcd = cf.abcd_of_line(g1, mat, 1e9) @ cf.abcd_of_line(g2, mat, 1e9)
     _, s21 = cf.abcd_to_s(abcd, z)
     gl = cf.propagation_constant(mat, 1e9) * 0.04
     assert s21 == pytest.approx(cmath.exp(-gl), abs=1e-12)
@@ -280,9 +284,7 @@ def test_cascade_split_equals_single_segment():
         ga = cf.CoaxGeometry(l_total * frac, 0.0051, 0.008)
         gb = cf.CoaxGeometry(l_total * (1.0 - frac), 0.0051, 0.008)
         gfull = cf.CoaxGeometry(l_total, 0.0051, 0.008)
-        s11c, s21c = cf.abcd_to_s(
-            cf.cascade(cf.abcd_of_line(ga, mat, f), cf.abcd_of_line(gb, mat, f)), z0
-        )
+        s11c, s21c = cf.abcd_to_s(cf.abcd_of_line(ga, mat, f) @ cf.abcd_of_line(gb, mat, f), z0)
         resp = cf.s_params_model(gfull, mat, cf.FrequencyGrid(np.array([f])), z0)
         assert abs(resp.s11[0] - s11c) < 1e-10
         assert abs(resp.s21[0] - s21c) < 1e-10
@@ -348,3 +350,6 @@ def test_two_port_response_invariants():
         cf.TwoPortResponse(grid=grid, s11=np.zeros(2), s21=np.zeros(3))
     with pytest.raises(ValueError):
         cf.TwoPortResponse(grid=grid, s11=np.zeros(3), s21=np.zeros(3), z0_ohm=0.0)
+    for z0 in (0.0, -5.0):  # the Touchstone writer would emit an "R -5" that its parser refuses
+        with pytest.raises(ValueError, match="z0_ohm"):
+            cf.RawTwoPort(grid, *[np.zeros(3)] * 4, z0_ohm=z0)
