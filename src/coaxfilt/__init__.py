@@ -14,21 +14,20 @@ from .errors import (
     ExtractionError,
     FrequencyRangeError,
     InsufficientDataError,
-    NonPassiveDataError,
     NoSolutionError,
     OpenCircuitError,
     ParseError,
     RowError,
-    SingularInversionError,
     SingularNetworkError,
     UnsupportedMaterialError,
 )
 from .extraction import (
+    REASONS,
     ExtractionPoint,
     ExtractionReport,
     extract_material,
     impedance_from_reflection,
-    invert_point,
+    invert_points,
     material_from_points,
     unwrap_gamma,
 )

@@ -26,14 +26,6 @@ class SingularNetworkError(CoaxfiltError):
     """ABCD-to-S conversion hit a (near-)singular denominator."""
 
 
-class NonPassiveDataError(CoaxfiltError):
-    """S-parameters admit no passive interface reflection root."""
-
-
-class SingularInversionError(CoaxfiltError):
-    """Point inversion denominator too close to zero to be trusted."""
-
-
 class BranchAmbiguityError(CoaxfiltError):
     """Adjacent-point phase step reached pi; unwrapping is ambiguous."""
 

@@ -1,4 +1,4 @@
-"""Material recovery from measured two-port data, and cross-length prediction.
+"""Material recovery from measured two-port data.
 
 The symmetric-line response is reparameterized per frequency into an
 interface reflection Gamma and a propagation factor P = exp(-gamma*l).
@@ -10,26 +10,17 @@ of any other length built from the same compound.
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import C0, ETA0
-from .errors import (
-    BranchAmbiguityError,
-    ExtractionError,
-    NonPassiveDataError,
-    OpenCircuitError,
-    SingularInversionError,
-)
-from .txline import (
-    CoaxGeometry,
-    MaterialModel,
-    TwoPortResponse,
-)
+from .errors import BranchAmbiguityError, ExtractionError, OpenCircuitError
+from .txline import CoaxGeometry, MaterialModel, TwoPortResponse
 
 # |S11| below this is treated as a perfectly matched point (Gamma = 0).
 _MATCHED_S11 = 1e-8
@@ -41,10 +32,15 @@ _ALPHA_CLAMP = 1e-9
 _P_PASSIVE_TOL = 1e-9
 _GAMMA_ROUNDING_TOL = 1e-6
 
+# Why a grid point is unusable, indexed by the codes in reason arrays;
+# code 0, the empty reason, marks a usable point.
+REASONS = ("", "passivity-violation", "near-singular-inversion", "zero-transmission",
+           "branch-ambiguity", "open-circuit", "negative-alpha", "unphysical-material")
+_CODE = {reason: code for code, reason in enumerate(REASONS)}
 
-@dataclass(frozen=True)
-class ExtractionPoint:
-    """Per-frequency inversion intermediates."""
+
+class ExtractionPoint(NamedTuple):
+    """One row of an ExtractionReport's per-point columns: a plain view."""
 
     f_hz: float
     gamma_refl: complex
@@ -54,104 +50,165 @@ class ExtractionPoint:
     branch_index: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExtractionReport:
     """Result of inverting one measured response.
 
-    points holds every frequency that survived point inversion, flagged
-    or not; flags maps grid indices of unusable points to a short reason;
-    material is built from the unflagged points only.
+    The per-point columns (the ExtractionPoint fields) have one row per
+    frequency that reached material conversion: unflagged points and those
+    flagged negative-alpha or unphysical-material. Points refused by point
+    inversion, dropped for branch-ambiguity or at an open circuit have no
+    row. reason holds one REASONS code per grid point; flags maps the grid
+    indices of unusable points to their reason. material is built from the
+    unflagged points only.
     """
 
-    points: list[ExtractionPoint]
+    f_hz: np.ndarray
+    gamma_refl: np.ndarray
+    prop_factor: np.ndarray
+    gamma: np.ndarray
+    z_ohm: np.ndarray
+    branch_index: np.ndarray
+    reason: np.ndarray
     material: MaterialModel
     asymmetry_max: float
-    flags: dict[int, str] = field(default_factory=dict)
+
+    @cached_property
+    def flags(self) -> dict[int, str]:
+        return _flag_map(self.reason)
+
+    @cached_property
+    def points(self) -> tuple[ExtractionPoint, ...]:
+        """The per-point columns as ExtractionPoint rows, built on first access."""
+        columns = (getattr(self, name).tolist() for name in ExtractionPoint._fields)
+        return tuple(ExtractionPoint(*row) for row in zip(*columns))
 
 
-def invert_point(s11: complex, s21: complex) -> tuple[complex, complex]:
-    """Split one (S11, S21) pair into (Gamma, P).
+# CPython's complex arithmetic on real and imaginary arrays: numpy's complex
+# multiply, divide and abs round differently, and outputs must stay bit-exact.
+def _complex(re, im) -> np.ndarray:
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _mul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, br, bi):
+    """Smith's method as in CPython's _Py_c_quot; b == 0 gives NaN or inf."""
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _sqrt(re, im):
+    """cmath.sqrt. np.sqrt agrees except at Re = 0, where CPython rounds Im
+    as |Im|/(2*Re(root)) instead of copying Re(root)."""
+    root = np.sqrt(_complex(re, im))
+    axis = (re == 0.0) & (im != 0.0)
+    return root.real, np.where(axis, np.copysign(np.abs(im) / (2.0 * root.real), im), root.imag)
+
+
+def invert_points(s11, s21) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split (S11, S21) pairs into (Gamma, P, reason), elementwise.
 
     Uses K = (S11^2 - S21^2 + 1) / (2*S11) and picks the reflection root
     with |Gamma| <= 1. The two roots are exact reciprocals, so the large
     one is computed cancellation-free and the small one as its inverse.
     Matched points (|S11| < 1e-8) short-circuit to Gamma = 0, P = S21.
+    reason is 0 where usable, else the REASONS code of passivity-violation
+    (non-finite data, no root in |Gamma| <= 1 + 1e-6, or |P| > 1 + 1e-9),
+    near-singular-inversion (|1 - (S11+S21)*Gamma| < 1e-12) or
+    zero-transmission (P == 0).
     """
-    s11 = complex(s11)
-    s21 = complex(s21)
-    if not all(map(math.isfinite, (s11.real, s11.imag, s21.real, s21.imag))):
-        raise NonPassiveDataError("non-finite S-parameters")
+    s11, s21 = np.asarray(s11, dtype=complex), np.asarray(s21, dtype=complex)
+    ar, ai, br, bi = s11.real, s11.imag, s21.real, s21.imag
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(s11) & np.isfinite(s21)
+        matched = np.hypot(ar, ai) < _MATCHED_S11
+        sq11, sq21 = _mul(ar, ai, ar, ai), _mul(br, bi, br, bi)
+        kr, ki = _div(sq11[0] - sq21[0] + 1.0, sq11[1] - sq21[1] + 0.0, *_mul(2.0, 0.0, ar, ai))
+        kk = _mul(kr, ki, kr, ki)
+        rr, ri = _sqrt(kk[0] - 1.0, kk[1])
+        plus = np.hypot(kr + rr, ki + ri) >= np.hypot(kr - rr, ki - ri)
+        big_r, big_i = np.where(plus, [kr + rr, ki + ri], [kr - rr, ki - ri])
+        small_r, small_i = _div(1.0, 0.0, big_r, big_i)
+        take_small = np.hypot(small_r, small_i) <= np.hypot(big_r, big_i)
+        gr, gi = np.where(take_small, [small_r, small_i], [big_r, big_i])
+        mag = np.hypot(gr, gi)
+        no_root = ((big_r == 0.0) & (big_i == 0.0)) | (mag > 1.0 + _GAMMA_ROUNDING_TOL)
+        # rounding guard only; keeps |Gamma| <= 1
+        gr, gi = np.where(mag > 1.0, _div(gr, gi, mag, 0.0), [gr, gi])
 
-    if abs(s11) < _MATCHED_S11:
-        return 0.0 + 0.0j, s21
-
-    k = (s11 * s11 - s21 * s21 + 1.0) / (2.0 * s11)
-    root = cmath.sqrt(k * k - 1.0)
-    big = k + root if abs(k + root) >= abs(k - root) else k - root
-    if big == 0.0:
-        raise NonPassiveDataError("degenerate reflection roots")
-    small = 1.0 / big
-    gamma_refl = small if abs(small) <= abs(big) else big
-    mag = abs(gamma_refl)
-    if mag > 1.0 + _GAMMA_ROUNDING_TOL:
-        raise NonPassiveDataError(f"both reflection roots outside unit disk (|G|={mag:.6g})")
-    if mag > 1.0:
-        gamma_refl /= mag  # rounding guard only; keeps |Gamma| <= 1
-
-    v = s11 + s21
-    den = 1.0 - v * gamma_refl
-    if abs(den) < 1e-12:
-        raise SingularInversionError("1 - (S11+S21)*Gamma vanished; point not invertible")
-    prop_factor = (v - gamma_refl) / den
-    return gamma_refl, prop_factor
+        vr, vi = ar + br, ai + bi
+        vg = _mul(vr, vi, gr, gi)
+        den_r, den_i = 1.0 - vg[0], 0.0 - vg[1]
+        singular = np.hypot(den_r, den_i) < 1e-12
+        gamma_refl = np.where(matched, 0j, _complex(gr, gi))
+        prop_factor = np.where(matched, s21, _complex(*_div(vr - gr, vi - gi, den_r, den_i)))
+        p_mag = np.hypot(prop_factor.real, prop_factor.imag)
+    reason = np.select(
+        [~finite | (~matched & no_root), ~matched & singular,
+         p_mag > 1.0 + _P_PASSIVE_TOL, p_mag == 0.0],
+        [_CODE[r] for r in ("passivity-violation", "near-singular-inversion",
+                            "passivity-violation", "zero-transmission")],
+    )
+    return gamma_refl, prop_factor, reason
 
 
-def unwrap_gamma(
-    points: list[tuple[float, complex]], length_m: float
-) -> tuple[list[complex], list[int]]:
-    """Recover gamma per point from ordered (f_hz, P) pairs.
+def unwrap_gamma(f_hz, p, length_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Recover gamma per point from P on an increasing frequency grid.
 
     gamma = -(ln|P| + i*unwrapped_arg(P)) / l, with the first point's
     phase taken as its principal value in (-pi, pi] and later points kept
     continuous. Returns the gammas and the 2*pi winding count applied at
     each point. Tiny negative real parts from rounding are clamped to 0;
-    larger ones are returned as-is for the caller to flag.
+    larger ones are returned as-is for the caller to flag. A phase step
+    of at least pi raises BranchAmbiguityError naming its first interval.
     """
     if length_m <= 0.0:
         raise ValueError("length_m must be > 0 for unwrapping")
-    if not points:
-        return [], []
-    f = np.array([p[0] for p in points], dtype=float)
-    p = np.array([p[1] for p in points], dtype=complex)
+    f, p = np.asarray(f_hz, dtype=float), np.asarray(p, dtype=complex)
+    if not p.size:
+        return np.empty(0, dtype=complex), np.empty(0, dtype=int)
     if np.any(p == 0.0):
         raise ValueError("zero propagation factor; attenuation is unbounded at that point")
 
     phase = np.angle(p)
-    if len(points) > 1:
-        steps = np.diff(phase)
-        wrapped = np.mod(steps + np.pi, 2.0 * np.pi) - np.pi
-        bad = np.abs(wrapped) >= np.pi - 1e-12
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise BranchAmbiguityError(float(f[i]), float(f[i + 1]))
-        unwrapped = np.concatenate(([phase[0]], phase[0] + np.cumsum(wrapped)))
-    else:
-        unwrapped = phase
+    wrapped = np.mod(np.diff(phase) + np.pi, 2.0 * np.pi) - np.pi
+    bad = np.abs(wrapped) >= np.pi - 1e-12
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise BranchAmbiguityError(float(f[i]), float(f[i + 1]))
+    unwrapped = np.concatenate(([phase[0]], phase[0] + np.cumsum(wrapped)))
 
     branch = np.rint((unwrapped - phase) / (2.0 * np.pi)).astype(int)
     re = -np.log(np.abs(p)) / length_m
     re = np.where((re > -_ALPHA_CLAMP) & (re < 0.0), 0.0, re)
     im = -unwrapped / length_m
-    gammas = re + 1j * im
-    return [complex(g) for g in gammas], [int(b) for b in branch]
+    return re + 1j * im, branch
 
 
-def impedance_from_reflection(gamma_refl: complex, z0_ohm: float) -> complex:
-    """Bilinear map Z = z0 * (1 + Gamma) / (1 - Gamma)."""
-    den = 1.0 - gamma_refl
-    if abs(den) < 1e-12:
+def _open_circuit(gamma_refl: np.ndarray) -> np.ndarray:
+    return np.hypot(1.0 - gamma_refl.real, gamma_refl.imag) < 1e-12
+
+
+def impedance_from_reflection(gamma_refl, z0_ohm: float):
+    """Bilinear map Z = z0 * (1 + Gamma) / (1 - Gamma), elementwise.
+
+    Raises OpenCircuitError if any Gamma is at +1.
+    """
+    g = np.asarray(gamma_refl, dtype=complex)
+    if np.any(_open_circuit(g)):
         raise OpenCircuitError("Gamma at +1; impedance is an open circuit")
-    return z0_ohm * (1.0 + gamma_refl) / den
+    num = _mul(z0_ohm, 0.0, 1.0 + g.real, 0.0 + g.imag)
+    return _complex(*_div(*num, 1.0 - g.real, 0.0 - g.imag))[()]
 
 
 def material_from_points(gamma, z_ohm, geom: CoaxGeometry, f_hz):
@@ -183,28 +240,23 @@ def moving_median(values: np.ndarray, window: int) -> np.ndarray:
     if window == 1 or n == 0:
         return a.copy()
     w = min(window, n if n % 2 == 1 else n - 1)
-    h = w // 2
-    out = np.empty_like(a)
-    for i in range(n):
-        lo = min(max(i - h, 0), n - w)
-        out[i] = np.median(a[lo : lo + w])
-    return out
+    # edge points take the first or last full window's median
+    return np.pad(np.median(sliding_window_view(a, w), axis=-1), w // 2, mode="edge")
 
 
 def extract_material(
-    measured: TwoPortResponse,
-    geom: CoaxGeometry,
-    smooth_window: int = 1,
+    measured: TwoPortResponse, geom: CoaxGeometry, smooth_window: int = 1,
     asymmetry_max: float = 0.0,
 ) -> ExtractionReport:
     """Invert a measured symmetric response into a MaterialModel.
 
-    Runs invert_point per frequency, unwraps the propagation factor
-    across the grid, and converts the surviving points to material
-    columns in one array pass. Points that fail any stage are flagged and excluded from the
-    material table; more than 50% flagged raises ExtractionError.
-    smooth_window (odd, 1 = off) applies a moving median to the
-    recovered eps, mu and alpha columns.
+    One array pass per stage: invert_points on every (S11, S21) pair,
+    unwrap_gamma over the usable points (retried without the right-hand
+    point of each ambiguous step), impedance_from_reflection on all but
+    open-circuit points, material_from_points on those with Re(gamma) >= 0.
+    Points that fail a stage are flagged and left out of the material
+    table; more than 50% flagged raises ExtractionError. smooth_window
+    (odd, 1 = off) applies a moving median to the eps, mu and alpha columns.
     """
     if geom.length_m <= 0.0:
         raise ValueError("geometry length must be > 0 for extraction")
@@ -212,108 +264,55 @@ def extract_material(
         raise ValueError("smooth_window must be a positive odd integer")
 
     f = measured.grid.points_hz
-    n = len(measured.grid)
-    flags: dict[int, str] = {}
-    inverted: dict[int, tuple[complex, complex]] = {}
+    n = f.size
+    gamma_refl, prop_factor, reason = invert_points(measured.s11, measured.s21)
 
-    for i in range(n):
-        try:
-            g, p = invert_point(measured.s11[i], measured.s21[i])
-        except NonPassiveDataError:
-            flags[i] = "passivity-violation"
-            continue
-        except SingularInversionError:
-            flags[i] = "near-singular-inversion"
-            continue
-        if abs(p) > 1.0 + _P_PASSIVE_TOL:
-            flags[i] = "passivity-violation"
-            continue
-        if abs(p) == 0.0:
-            flags[i] = "zero-transmission"
-            continue
-        inverted[i] = (g, p)
-
-    def too_many_flagged() -> bool:
-        return len(flags) > n / 2.0
+    def refuse_if_unusable(any_left: bool) -> None:
+        if np.count_nonzero(reason) > n / 2.0 or not any_left:
+            flags = _flag_map(reason)
+            summary = ", ".join(f"{r} x{k}" for r, k in count_flags(flags).items()) or "none"
+            raise ExtractionError(f"{len(flags)} of {n} points unusable: {summary}", flags=flags)
 
     # Unwrapping is sequential; an ambiguous interval invalidates its
     # right-hand point, which is dropped before retrying.
-    active = sorted(inverted)
     while True:
-        if too_many_flagged() or not active:
-            raise ExtractionError(
-                f"{len(flags)} of {n} points unusable: "
-                + _summarize_flags(flags),
-                flags=flags,
-            )
+        rows = np.flatnonzero(reason == 0)
+        refuse_if_unusable(rows.size > 0)
         try:
-            gammas, branches = unwrap_gamma(
-                [(float(f[i]), inverted[i][1]) for i in active], geom.length_m
-            )
+            gamma, branch = unwrap_gamma(f[rows], prop_factor[rows], geom.length_m)
             break
         except BranchAmbiguityError as err:
-            victim = next(i for i in active if float(f[i]) == err.f_hi)
-            flags[victim] = "branch-ambiguity"
-            active.remove(victim)
+            reason[np.searchsorted(f, err.f_hi)] = _CODE["branch-ambiguity"]
 
-    points: list[ExtractionPoint] = []
-    kept: list[tuple[int, ExtractionPoint]] = []  # candidates for the material table
-    for i, gamma, branch in zip(active, gammas, branches):
-        g_refl, p = inverted[i]
-        try:
-            z = impedance_from_reflection(g_refl, measured.z0_ohm)
-        except OpenCircuitError:
-            flags[i] = "open-circuit"
-            continue
-        point = ExtractionPoint(
-            f_hz=float(f[i]),
-            gamma_refl=g_refl,
-            prop_factor=p,
-            gamma=gamma,
-            z_ohm=z,
-            branch_index=branch,
-        )
-        points.append(point)
-        if gamma.real < 0.0:
-            flags[i] = "negative-alpha"
-        else:
-            kept.append((i, point))
+    is_open = _open_circuit(gamma_refl[rows])
+    reason[rows[is_open]] = _CODE["open-circuit"]
+    rows, gamma, branch = rows[~is_open], gamma[~is_open], branch[~is_open]
+    z = impedance_from_reflection(gamma_refl[rows], measured.z0_ohm)
+    negative = gamma.real < 0.0
+    reason[rows[negative]] = _CODE["negative-alpha"]
 
-    fs = np.array([pt.f_hz for _, pt in kept])
+    kept = rows[~negative]  # candidates for the material table
     eps, mu, alpha, unphysical = material_from_points(
-        [pt.gamma for _, pt in kept], [pt.z_ohm.real for _, pt in kept], geom, fs
+        gamma[~negative], z.real[~negative], geom, f[kept]
     )
-    for k in np.flatnonzero(unphysical):
-        flags[kept[k][0]] = "unphysical-material"
+    reason[kept[unphysical]] = _CODE["unphysical-material"]
     good = ~unphysical
-    if too_many_flagged() or not good.any():
-        raise ExtractionError(
-            f"{len(flags)} of {n} points unusable: " + _summarize_flags(flags),
-            flags=flags,
-        )
+    refuse_if_unusable(good.any())
 
     # An odd-window median always returns one of the input values, so the
     # smoothed columns cannot leave the valid material domain.
     material = MaterialModel.from_arrays(
-        fs[good],
-        moving_median(eps[good], smooth_window),
-        moving_median(mu[good], smooth_window),
-        moving_median(alpha[good], smooth_window),
+        f[kept[good]], *(moving_median(c[good], smooth_window) for c in (eps, mu, alpha))
     )
+    return ExtractionReport(f[rows], gamma_refl[rows], prop_factor[rows], gamma, z, branch,
+                            reason, material, asymmetry_max)
 
-    return ExtractionReport(
-        points=points,
-        material=material,
-        asymmetry_max=asymmetry_max,
-        flags=flags,
-    )
+
+def _flag_map(reason: np.ndarray) -> dict[int, str]:
+    idx = np.flatnonzero(reason)
+    return {i: REASONS[c] for i, c in zip(idx.tolist(), reason[idx].tolist())}
 
 
 def count_flags(flags: dict[int, str]) -> dict[str, int]:
     """Number of flagged points per reason, in reason order."""
     return dict(sorted(Counter(flags.values()).items()))
-
-
-def _summarize_flags(flags: dict[int, str]) -> str:
-    parts = [f"{reason} x{count}" for reason, count in count_flags(flags).items()]
-    return ", ".join(parts) if parts else "none"

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion.
 
-Each test prints a single [criterion N] PASS/FAIL line (visible with
-pytest -s). Tolerances and runtime budgets are asserted exactly as
-stated; nothing here is calibrated after the fact.
+Each test prints a single [criterion N] PASS/FAIL line ending in its wall
+time (visible with pytest -s). Tolerances and runtime budgets are
+asserted exactly as stated; nothing here is calibrated after the fact.
 """
 
 import json
@@ -23,12 +23,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @contextmanager
 def _criterion(num, desc):
+    t0 = time.perf_counter()
     try:
         yield
     except BaseException:
-        print(f"[criterion {num}] FAIL - {desc}")
+        print(f"[criterion {num}] FAIL - {desc} ({time.perf_counter() - t0:.3f} s)")
         raise
-    print(f"[criterion {num}] PASS - {desc}")
+    print(f"[criterion {num}] PASS - {desc} ({time.perf_counter() - t0:.3f} s)")
 
 
 def _random_flat_z_material(rng):

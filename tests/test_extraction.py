@@ -26,21 +26,21 @@ def _synthetic_response(mat, geom, n=401, z0=50.0, f_start=1e7, f_stop=2e10):
 
 
 def test_invert_matched_branch():
-    g, p = cf.invert_point(0.0, math.exp(-1.0))
-    assert g == 0.0
-    assert p == math.exp(-1.0)
+    g, p, _ = cf.invert_points([0.0], [math.exp(-1.0)])
+    assert g[0] == 0.0
+    assert p[0] == math.exp(-1.0)
 
 
 def test_invert_quarter_wave_point():
     # forward values of a lossless quarter-wave Z = 2*Z0 section
-    g, p = cf.invert_point(0.6 + 0.0j, -0.8j)
-    assert g == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert p == pytest.approx(-1j, abs=1e-14)
+    g, p, _ = cf.invert_points([0.6 + 0.0j], [-0.8j])
+    assert g[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert p[0] == pytest.approx(-1j, abs=1e-14)
 
 
 def test_invert_rejects_nonfinite():
-    with pytest.raises(cf.NonPassiveDataError):
-        cf.invert_point(complex("nan"), 0.5)
+    _, _, reason = cf.invert_points([complex("nan")], [0.5])
+    assert cf.REASONS[reason[0]] == "passivity-violation"
 
 
 def test_invert_forward_consistency_with_model():
@@ -52,13 +52,13 @@ def test_invert_forward_consistency_with_model():
     r = z / resp.z0_ohm
     g_true = (r - 1.0) / (r + 1.0)
     p_true = np.exp(-cf.propagation_constant(mat, resp.grid.points_hz) * geom.length_m)
+    g, p, _ = cf.invert_points(resp.s11, resp.s21)
     for i in range(len(resp.grid)):
         s11, s21 = _s_from_gamma_p(g_true[i], p_true[i])
         assert abs(s11 - resp.s11[i]) < 1e-12
         assert abs(s21 - resp.s21[i]) < 1e-12
-        g, p = cf.invert_point(resp.s11[i], resp.s21[i])
-        assert abs(g - g_true[i]) < 1e-10
-        assert abs(p - p_true[i]) < 1e-10
+        assert abs(g[i] - g_true[i]) < 1e-10
+        assert abs(p[i] - p_true[i]) < 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -74,20 +74,128 @@ def test_invert_round_trip_property(g_mag, g_arg, p_mag, p_arg):
     g0 = g_mag * cmath.exp(1j * g_arg)
     p0 = p_mag * cmath.exp(1j * p_arg)
     s11, s21 = _s_from_gamma_p(g0, p0)
-    g, p = cf.invert_point(s11, s21)
-    assert abs(g - g0) < 1e-10
-    assert abs(p - p0) < 1e-10
+    g, p, _ = cf.invert_points([s11], [s21])
+    assert abs(g[0] - g0) < 1e-10
+    assert abs(p[0] - p0) < 1e-10
+
+
+def _invert_point_oracle(s11, s21):
+    """The per-point inversion that invert_points replaced, kept as its judge.
+
+    Returns (Gamma, P, reason) with Gamma = P = None where the point
+    inversion refused the point; the |P| checks are the ones
+    extract_material made on its result.
+    """
+    s11 = complex(s11)
+    s21 = complex(s21)
+    if not all(map(math.isfinite, (s11.real, s11.imag, s21.real, s21.imag))):
+        return None, None, "passivity-violation"
+    if abs(s11) < 1e-8:
+        gamma_refl, prop_factor = 0.0 + 0.0j, s21
+    else:
+        k = (s11 * s11 - s21 * s21 + 1.0) / (2.0 * s11)
+        root = cmath.sqrt(k * k - 1.0)
+        big = k + root if abs(k + root) >= abs(k - root) else k - root
+        if big == 0.0:
+            return None, None, "passivity-violation"
+        small = 1.0 / big
+        gamma_refl = small if abs(small) <= abs(big) else big
+        mag = abs(gamma_refl)
+        if mag > 1.0 + 1e-6:
+            return None, None, "passivity-violation"
+        if mag > 1.0:
+            gamma_refl /= mag
+        v = s11 + s21
+        den = 1.0 - v * gamma_refl
+        if abs(den) < 1e-12:
+            return None, None, "near-singular-inversion"
+        prop_factor = (v - gamma_refl) / den
+    if abs(prop_factor) > 1.0 + 1e-9:
+        return gamma_refl, prop_factor, "passivity-violation"
+    if abs(prop_factor) == 0.0:
+        return gamma_refl, prop_factor, "zero-transmission"
+    return gamma_refl, prop_factor, ""
+
+
+def _impedance_oracle(gamma_refl, z0_ohm):
+    den = 1.0 - gamma_refl
+    if abs(den) < 1e-12:
+        return None
+    return z0_ohm * (1.0 + gamma_refl) / den
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_matches_oracle(s11, s21, z0=50.0):
+    g, p, reason = cf.invert_points(s11, s21)
+    expect = [_invert_point_oracle(a, b) for a, b in zip(s11, s21)]
+    assert [cf.REASONS[c] for c in reason] == [r for _, _, r in expect]
+    for i, (g_o, p_o, _) in enumerate(expect):
+        if g_o is not None:
+            assert (_bits(g[i]), _bits(p[i])) == (_bits(g_o), _bits(p_o)), (s11[i], s21[i])
+    usable = [i for i, (g_o, _, r) in enumerate(expect) if not r and abs(1.0 - g_o) >= 1e-12]
+    z = cf.impedance_from_reflection(g[usable], z0)
+    assert [_bits(v) for v in z] == [_bits(_impedance_oracle(expect[i][0], z0)) for i in usable]
+
+
+def _cplx(parts):
+    return st.builds(complex, parts, parts)
+
+
+def _from_gamma_p(g_mag, p_mag):
+    # forward map of a symmetric line with the given |Gamma| and |P|
+    return st.builds(
+        lambda gm, ga, pm, pa: _s_from_gamma_p(gm * cmath.exp(1j * ga), pm * cmath.exp(1j * pa)),
+        g_mag, st.floats(-math.pi, math.pi), p_mag, st.floats(-math.pi, math.pi),
+    )
+
+
+_EDGE_PAIRS = st.one_of(
+    st.tuples(_cplx(st.floats(-2.0, 2.0)), _cplx(st.floats(-2.0, 2.0))),
+    # exact values: S11 = S21 = 0.5 (singular), (0.5, -0.5) (Gamma = +1),
+    # (0.75, 1.25) (K = 0, the neighbourhood of the big == 0 guard)
+    st.tuples(*[_cplx(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.75, -0.75, 1.0, 1.25]))] * 2),
+    # Re(K^2 - 1) == 0 with Im != 0, where np.sqrt and cmath.sqrt round apart
+    st.sampled_from([(-1.375 - 1.25j, -0.875 + 1j), (-1.25 - 1.25j, 1.25 - 1.25j),
+                     (-1.25 + 0.25j, 0.75 - 1.25j)]),
+    st.floats(-0.9, 0.9).map(lambda x: (complex(x), cmath.sqrt(x * x + 1.0))),  # K near 0
+    st.tuples(_cplx(st.floats(-7e-9, 7e-9)), _cplx(st.floats(-1.5, 1.5))),  # matched
+    st.tuples(_cplx(st.sampled_from([math.nan, math.inf, -math.inf, 0.5])),
+              _cplx(st.sampled_from([math.nan, math.inf, -math.inf, 0.5]))),
+    # |Gamma| at or beyond the unit circle, where 1 - (S11+S21)*Gamma vanishes
+    _from_gamma_p(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-7, 1.0 + 2e-6, 2.0]),
+                  st.floats(0.0, 1.0)),
+    _from_gamma_p(st.floats(1.0 - 1e-11, 1.0 + 1e-11), st.floats(0.0, 1.0)),
+    # |P| just above 1 + 1e-9, on matched and on mismatched points
+    _from_gamma_p(st.just(0.0), st.floats(1.0 + 5e-10, 1.0 + 2e-9)),
+    _from_gamma_p(st.floats(1e-3, 0.9), st.floats(1.0 + 5e-10, 1.0 + 2e-9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(_EDGE_PAIRS, min_size=1, max_size=30))
+def test_invert_points_bit_exact_with_scalar_oracle(pairs):
+    s11, s21 = (np.array(col, dtype=complex) for col in zip(*pairs))
+    _assert_matches_oracle(s11, s21)
+
+
+def test_invert_points_bit_exact_on_random_pairs():
+    rng = np.random.default_rng(5)
+    s = rng.uniform(-1.2, 1.2, (4, 20000))
+    _assert_matches_oracle(s[0] + 1j * s[1], s[2] + 1j * s[3], z0=37.5)
 
 
 # ---------------------------------------------------------------- unwrap
 
 
 def test_unwrap_constant_real_p():
-    pts = [(f, math.exp(-1.0) + 0.0j) for f in (1e9, 2e9, 3e9)]
-    gammas, branch = cf.unwrap_gamma(pts, 1.0)
+    gammas, branch = cf.unwrap_gamma([1e9, 2e9, 3e9], [math.exp(-1.0) + 0.0j] * 3, 1.0)
     for g in gammas:
         assert g == pytest.approx(1.0 + 0.0j, abs=1e-15)
-    assert branch == [0, 0, 0]
+    assert branch.tolist() == [0, 0, 0]
 
 
 def test_unwrap_tracks_many_turns():
@@ -97,10 +205,7 @@ def test_unwrap_tracks_many_turns():
     grid = cf.FrequencyGrid.linear(1e8, 2e10, 801)
     gamma_true = cf.propagation_constant(mat, grid.points_hz)
     p = np.exp(-gamma_true * geom.length_m)
-    gammas, branch = cf.unwrap_gamma(
-        [(float(f), complex(v)) for f, v in zip(grid.points_hz, p)], geom.length_m
-    )
-    got = np.array(gammas)
+    got, branch = cf.unwrap_gamma(grid.points_hz, p, geom.length_m)
     assert np.max(np.abs(got - gamma_true)) < 1e-9
     beta = got.imag
     assert np.all(np.diff(beta) > 0.0)
@@ -109,9 +214,8 @@ def test_unwrap_tracks_many_turns():
 
 def test_unwrap_flags_pi_jump():
     # steps of exactly pi are ambiguous by construction
-    pts = [(1e9, 1.0 + 0.0j), (2e9, -1.0 + 0.0j), (3e9, 1.0 + 0.0j)]
     with pytest.raises(cf.BranchAmbiguityError) as err:
-        cf.unwrap_gamma(pts, 0.042)
+        cf.unwrap_gamma([1e9, 2e9, 3e9], [1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j], 0.042)
     assert err.value.f_lo == 1e9
     assert err.value.f_hi == 2e9
 
@@ -122,22 +226,22 @@ def test_unwrap_wrong_start_sheet_is_not_corrected():
     # error is raised (documented behavior, detectable only heuristically)
     length = 0.042
     beta_l = math.pi + 0.1
-    pts = [(1e9, cmath.exp(-1j * beta_l)), (1.01e9, cmath.exp(-1j * (beta_l + 0.05)))]
-    gammas, _ = cf.unwrap_gamma(pts, length)
+    p = [cmath.exp(-1j * beta_l), cmath.exp(-1j * (beta_l + 0.05))]
+    gammas, _ = cf.unwrap_gamma([1e9, 1.01e9], p, length)
     truth = beta_l / length
     assert gammas[0].imag == pytest.approx(truth - 2.0 * math.pi / length, rel=1e-12)
 
 
 def test_unwrap_rejects_zero_p_and_zero_length():
     with pytest.raises(ValueError):
-        cf.unwrap_gamma([(1e9, 0.0 + 0.0j)], 0.042)
+        cf.unwrap_gamma([1e9], [0.0 + 0.0j], 0.042)
     with pytest.raises(ValueError):
-        cf.unwrap_gamma([(1e9, 0.5 + 0.0j)], 0.0)
+        cf.unwrap_gamma([1e9], [0.5 + 0.0j], 0.0)
 
 
 def test_unwrap_clamps_tiny_negative_alpha():
     p_mag = 1.0 + 1e-13  # ln gives ~ -2.4e-12/l, within the clamp band
-    gammas, _ = cf.unwrap_gamma([(1e9, p_mag + 0.0j)], 1.0)
+    gammas, _ = cf.unwrap_gamma([1e9], [p_mag + 0.0j], 1.0)
     assert gammas[0].real == 0.0
 
 
@@ -145,18 +249,20 @@ def test_unwrap_clamps_tiny_negative_alpha():
 
 
 def test_impedance_from_reflection_values():
-    assert cf.impedance_from_reflection(0.0, 50.0) == 50.0
-    assert cf.impedance_from_reflection(1.0 / 3.0, 50.0) == pytest.approx(100.0, rel=1e-14)
+    z = cf.impedance_from_reflection(np.array([0.0, 1.0 / 3.0]), 50.0)
+    assert z[0] == 50.0
+    assert z[1] == pytest.approx(100.0, rel=1e-14)
     with pytest.raises(cf.OpenCircuitError):
-        cf.impedance_from_reflection(1.0, 50.0)
+        cf.impedance_from_reflection(np.array([0.0, 1.0]), 50.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(r=st.floats(1e-3, 1e3))
+@given(r=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
 def test_impedance_round_trip_property(r):
+    r = np.array(r)
     g = (r - 1.0) / (r + 1.0)
     z = cf.impedance_from_reflection(g, 50.0)
-    assert abs(z - 50.0 * r) / (50.0 * r) < 1e-12
+    assert np.all(np.abs(z - 50.0 * r) / (50.0 * r) < 1e-12)
 
 
 def test_material_from_point_round_trip():
@@ -287,6 +393,55 @@ def test_extract_material_flags_nonpassive_and_fails():
     assert set(err.value.flags.values()) == {"passivity-violation"}
 
 
+def _every_reason_response(n_good_tail):
+    # Matched points (S11 = 0) give Gamma = 0 and P = S21 exactly; good ones
+    # wind P's phase down by 0.2 rad per 0.1 GHz, so eps is about 1.23.
+    f = 1e9 + 1e8 * np.arange(15 + n_good_tail)
+    s11 = np.zeros(f.size, dtype=complex)
+    s21 = 0.9 * np.exp(-2j * f / 1e9)
+    s11[0], s21[0] = _s_from_gamma_p(-0.5, 0.9 * cmath.exp(-0.1j))  # low Z, eps << 1
+    s11[2] = s21[2] = 0.5  # Gamma = +1 and 1 - (S11+S21)*Gamma = 0
+    s21[5] = s21[6] = -s21[4]  # half turn 4 -> 5; after dropping 5, again 4 -> 6
+    s11[8], s21[8] = 0.5, -0.5  # Gamma = +1 with P = -1: open circuit
+    s21[10] = 0.0
+    s11[11], s21[11] = 0.001, 1.2
+    s21[13] *= (1.0 + 5e-10) / 0.9  # passes |P| <= 1 + 1e-9, ln|P| < 0
+    return cf.TwoPortResponse(cf.FrequencyGrid(f), s11, s21, 50.0)
+
+
+_EVERY_REASON = {
+    0: "unphysical-material",
+    2: "near-singular-inversion",
+    5: "branch-ambiguity",
+    6: "branch-ambiguity",
+    8: "open-circuit",
+    10: "zero-transmission",
+    11: "passivity-violation",
+    13: "negative-alpha",
+}
+
+
+def test_extract_material_flag_map_reaches_every_reason():
+    geom = cf.CoaxGeometry(0.042, INNER_D, OUTER_D)
+    # 8 of 15 flagged is over half: refused, after every stage has run
+    with pytest.raises(cf.ExtractionError) as err:
+        cf.extract_material(_every_reason_response(0), geom)
+    assert err.value.flags == _EVERY_REASON
+    assert str(err.value) == (
+        "8 of 15 points unusable: branch-ambiguity x2, near-singular-inversion x1, "
+        "negative-alpha x1, open-circuit x1, passivity-violation x1, "
+        "unphysical-material x1, zero-transmission x1"
+    )
+    # one more good point: 8 of 16 is not over half
+    resp = _every_reason_response(1)
+    report = cf.extract_material(resp, geom)
+    assert report.flags == _EVERY_REASON
+    kept = [0, 1, 3, 4, 7, 9, 12, 13, 14, 15]  # only converted points are listed
+    assert [pt.f_hz for pt in report.points] == resp.grid.points_hz[kept].tolist()
+    unflagged = [i for i in kept if i not in _EVERY_REASON]
+    assert report.material.table[0].tolist() == resp.grid.points_hz[unflagged].tolist()
+
+
 def test_extract_material_records_asymmetry():
     mat, g42, _ = matched_material_and_geoms()
     resp = _synthetic_response(mat, g42, n=21)
@@ -313,6 +468,36 @@ def test_extract_material_smoothing_reduces_noise():
     raw_err = alpha_rms(cf.extract_material(noisy, g42))
     smooth_err = alpha_rms(cf.extract_material(noisy, g42, smooth_window=21))
     assert smooth_err < raw_err / 2.0
+
+
+def _moving_median_oracle(a, window):
+    # the per-point loop moving_median replaced
+    n = a.size
+    if window == 1 or n == 0:
+        return a.copy()
+    w = min(window, n if n % 2 == 1 else n - 1)
+    h = w // 2
+    out = np.empty_like(a)
+    for i in range(n):
+        lo = min(max(i - h, 0), n - w)
+        out[i] = np.median(a[lo : lo + w])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.integers(0, 60).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, 2.0])),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_moving_median_matches_loop(values):
+    a = np.array(values, dtype=float)
+    for window in range(1, 2 * a.size + 2, 2):
+        got = cf.extraction.moving_median(a, window)
+        assert got.tobytes() == _moving_median_oracle(a, window).tobytes(), window
 
 
 def test_moving_median_window_shapes():
