@@ -10,6 +10,7 @@ failure, 4 prediction tolerance exceeded, 5 synthesis unsupported,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -269,14 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="forward-model a design file to a response")
     p.add_argument("design", help="design JSON path")
     p.add_argument("--out", required=True, help="output path (.csv or .s2p)")
-    p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("extract", help="invert a measured .s2p into a material CSV")
     p.add_argument("measured", help="measured two-port .s2p path")
     _add_geometry_flags(p)
     p.add_argument("--smooth-window", type=int, default=1, help="odd moving-median window (1 = off)")
     p.add_argument("--out", required=True, help="material CSV output path")
-    p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("predict", help="predict another length from a material CSV")
     p.add_argument("material", help="material CSV path")
@@ -286,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path (.csv or .s2p)")
     p.add_argument("--compare", help="measured .s2p/.csv to compare against (uses its grid)")
     p.add_argument("--tol", type=float, default=0.1, help="max relative |S21| deviation (default 0.1)")
-    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("synth", help="solve geometry ratio and/or length for targets")
     p.add_argument("material", help="material CSV path")
     p.add_argument("--target-z", type=float, help="target characteristic impedance, Ohm")
     p.add_argument("--slope-db-per-ghz", type=float, help="target |S21| slope magnitude, dB/GHz")
     p.add_argument("--f-ref", type=float, help="reference frequency, Hz (default: lowest sample)")
-    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("check", help="grade a response against compliance targets")
     p.add_argument("response", help="response path (.s2p or .csv)")
@@ -301,22 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-max-hz", type=float, default=2e10)
     p.add_argument("--slope-target-db-per-ghz", type=float, default=1.0)
     p.add_argument("--slope-tol-rel", type=float, default=0.1)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("convert", help="convert a .s2p between formats and units")
     p.add_argument("input", help="input .s2p path")
     p.add_argument("output", help="output .s2p path")
     p.add_argument("--to", choices=["ri", "ma", "db"], default="ri", help="output format")
     p.add_argument("--unit", choices=["hz", "khz", "mhz", "ghz"], default="ghz", help="output frequency unit")
-    p.set_defaults(func=_cmd_convert)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so the cached parser holds no handler
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, DesignError, FrequencyRangeError, InsufficientDataError, ValueError) as err:
         return _fail(EXIT_INPUT, str(err))
     except ExtractionError as err:

@@ -123,7 +123,8 @@ def invert_points(s11, s21) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one is computed cancellation-free and the small one as its inverse.
     Matched points (|S11| < 1e-8) short-circuit to Gamma = 0, P = S21.
     reason is 0 where usable, else the REASONS code of passivity-violation
-    (non-finite data, no root in |Gamma| <= 1 + 1e-6, or |P| > 1 + 1e-9),
+    (non-finite data, no root in |Gamma| <= 1 + 1e-6, or |P| > 1 + 1e-9 or
+    not finite, as when |S| near 1e154 overflows),
     near-singular-inversion (|1 - (S11+S21)*Gamma| < 1e-12) or
     zero-transmission (P == 0).
     """
@@ -155,7 +156,7 @@ def invert_points(s11, s21) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p_mag = np.hypot(prop_factor.real, prop_factor.imag)
     reason = np.select(
         [~finite | (~matched & no_root), ~matched & singular,
-         p_mag > 1.0 + _P_PASSIVE_TOL, p_mag == 0.0],
+         ~np.isfinite(prop_factor) | (p_mag > 1.0 + _P_PASSIVE_TOL), p_mag == 0.0],
         [_CODE[r] for r in ("passivity-violation", "near-singular-inversion",
                             "passivity-violation", "zero-transmission")],
     )
@@ -232,7 +233,13 @@ def material_from_points(gamma, z_ohm, geom: CoaxGeometry, f_hz):
 
 
 def moving_median(values: np.ndarray, window: int) -> np.ndarray:
-    """Odd-window moving median; windows are shifted, not shrunk, at edges."""
+    """Odd-window moving median; windows are shifted, not shrunk, at edges.
+
+    Gives what np.median gives on each window: the middle order statistic,
+    with a median of -0.0 returned as +0.0 (signed zeros tie, so either
+    may sit in the middle), and NaN for a window holding a NaN, namely the
+    NaN np.median returns, the one np.partition places last.
+    """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be a positive odd integer")
     a = np.asarray(values, dtype=float)
@@ -240,8 +247,14 @@ def moving_median(values: np.ndarray, window: int) -> np.ndarray:
     if window == 1 or n == 0:
         return a.copy()
     w = min(window, n if n % 2 == 1 else n - 1)
+    h = w // 2
+    windows = sliding_window_view(a, w)
+    med = np.partition(windows, h, axis=-1)[:, h] + 0.0
+    if np.isnan(a).any():
+        has_nan = np.isnan(windows).any(axis=-1)
+        med[has_nan] = np.partition(windows[has_nan], [h, -1], axis=-1)[:, -1]
     # edge points take the first or last full window's median
-    return np.pad(np.median(sliding_window_view(a, w), axis=-1), w // 2, mode="edge")
+    return np.pad(med, h, mode="edge")
 
 
 def extract_material(

@@ -7,6 +7,13 @@ Angles are degrees in files and radians internally. All parse errors
 carry a 1-based line number, and non-finite numbers are refused on read
 and on write.
 
+The readers convert every number of a file in one pass (float() over
+all tokens) and validate whole arrays: the token count of each line,
+finiteness, and for Touchstone f > 0 and strictly increasing. Only when
+a check fails do they rerun the line-by-line loop. Every ParseError a
+caller sees comes from that loop, so it names the same line with the
+same text as a purely line-by-line reader would.
+
 The writers render every number as "%.12g" (12 significant digits) and
 build each output column once, then format whole rows through one row
 template. The MA/DB angle and dB columns still come from the `math`
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -117,14 +125,59 @@ def _parse_option_line(line: str, line_no: int) -> tuple[str, str, float]:
     return unit, fmt, z0
 
 
+def _bulk_floats(rows: list[list[str]], n_cols: int) -> np.ndarray | None:
+    """The (len(rows), n_cols) floats of rows of n_cols finite tokens each, else None."""
+    if set(map(len, rows)) - {n_cols}:
+        return None
+    try:
+        vals = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float)
+    except ValueError:
+        return None
+    return vals.reshape(-1, n_cols) if np.isfinite(vals).all() else None
+
+
 def parse_s2p(text: str) -> RawTwoPort:
     """Parse Touchstone v1 two-port text into a RawTwoPort in Hz/RI form."""
+    lines = text.splitlines()
+    f_hz, s, z0 = _parse_s2p_bulk(lines) or _parse_s2p_lines(lines)
+    return RawTwoPort(
+        grid=FrequencyGrid(f_hz), s11=s[:, 0], s21=s[:, 1], s12=s[:, 2], s22=s[:, 3], z0_ohm=z0
+    )
+
+
+def _parse_s2p_bulk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(f_hz, (n, 4) S-parameters, z0) of well-formed Touchstone lines, validated
+    as whole arrays; None on any fault, which _parse_s2p_lines then names."""
+    rows = list(filter(None, [ln.partition("!")[0].split() for ln in lines]))
+    if not rows or not rows[0][0].startswith("#"):
+        return None
+    try:
+        unit, fmt, z0 = _parse_option_line(" ".join(rows[0]), 0)
+    except ParseError:  # raised again, at its line, by the loop
+        return None
+    vals = _bulk_floats(rows[1:], 9)
+    if vals is None:
+        return None
+    with np.errstate(over="ignore"):
+        f_hz = vals[:, 0] * UNIT_TO_HZ[unit]
+    if not ((f_hz > 0.0).all() and (f_hz[1:] > f_hz[:-1]).all()):
+        return None
+    if fmt == "ri":
+        # viewing the re/im pairs as complex keeps signed zeros, as complex(a, b) does
+        return f_hz, vals[:, 1:].copy().view(complex), z0
+    pairs = zip(vals[:, 1::2].ravel().tolist(), vals[:, 2::2].ravel().tolist())
+    s = np.array([_pair_to_complex(fmt, a, b) for a, b in pairs], dtype=complex)
+    return f_hz, s.reshape(-1, 4), z0
+
+
+def _parse_s2p_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray, float]:
+    """parse_s2p line by line: the reader that names the line of a ParseError."""
     option: tuple[str, str, float] | None = None
     freqs: list[float] = []
     rows: list[list[complex]] = []
     last_line = 0
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(lines, start=1):
         last_line = line_no
         line = raw_line.split("!", 1)[0].strip()
         if not line:
@@ -165,16 +218,7 @@ def parse_s2p(text: str) -> RawTwoPort:
 
     if option is None:
         raise ParseError(last_line + 1, "no option line found")
-
-    data = np.array(rows, dtype=complex).reshape(len(rows), 4)
-    return RawTwoPort(
-        grid=FrequencyGrid(np.array(freqs)),
-        s11=data[:, 0],
-        s21=data[:, 1],
-        s12=data[:, 2],
-        s22=data[:, 3],
-        z0_ohm=option[2],
-    )
+    return np.array(freqs), np.array(rows, dtype=complex).reshape(len(rows), 4), option[2]
 
 
 def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
@@ -248,13 +292,30 @@ def export_csv(resp: TwoPortResponse) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_csv(text: str, header: str, kind: str) -> tuple[list[int], list[list[float]]]:
-    """Data rows of a toolkit CSV, plus the line number of the header and of each row.
+def _read_csv(text: str, header: str, kind: str) -> np.ndarray:
+    """Data rows of a toolkit CSV as an (n, columns) float array; blank lines are skipped."""
+    lines = text.splitlines()
+    data = _read_csv_bulk(lines, header)
+    return data if data is not None else _read_csv_lines(lines, header, kind)
 
-    Blank lines are skipped; line numbers count them. Data row k is on
-    line line_nos[k + 1].
-    """
-    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+def _read_csv_bulk(lines: list[str], header: str) -> np.ndarray | None:
+    """_read_csv of well-formed lines, validated as whole arrays; None on any
+    fault, which _read_csv_lines then names."""
+    content = list(filter(str.strip, lines))
+    if not content or content[0].strip() != header:
+        return None
+    return _bulk_floats([ln.split(",") for ln in content[1:]], header.count(",") + 1)
+
+
+def _numbered(lines: list[str]) -> list[tuple[int, str]]:
+    """The non-blank lines with their 1-based line numbers."""
+    return [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
+
+
+def _read_csv_lines(lines: list[str], header: str, kind: str) -> np.ndarray:
+    """_read_csv line by line: the reader that names the line of a ParseError."""
+    numbered = _numbered(lines)
     if not numbered:
         raise ParseError(1, f"empty {kind} CSV")
     if numbered[0][1].strip() != header:
@@ -273,11 +334,15 @@ def _read_csv(text: str, header: str, kind: str) -> tuple[list[int], list[list[f
             if not math.isfinite(v):
                 raise ParseError(line_no, f"non-finite number {tok.strip()!r}")
         rows.append(values)
-    return [no for no, _ in numbered], rows
+    return np.array(rows).reshape(len(rows), n_cols)
 
 
-def _table_error(line_nos: list[int], err: ValueError) -> ParseError:
-    """The ParseError for a table built from _read_csv rows: at the bad row, else the last line."""
+def _table_error(text: str, err: ValueError) -> ParseError:
+    """The ParseError for a table read by _read_csv: at the bad row, else the last line.
+
+    Data row k is on the (k + 2)-th non-blank line, after the header.
+    """
+    line_nos = [no for no, _ in _numbered(text.splitlines())]
     if isinstance(err, RowError):
         return ParseError(line_nos[err.row + 1], err.reason)
     return ParseError(line_nos[-1], str(err))
@@ -285,12 +350,11 @@ def _table_error(line_nos: list[int], err: ValueError) -> ParseError:
 
 def response_from_csv(text: str, z0_ohm: float = 50.0) -> TwoPortResponse:
     """Read a response CSV written by export_csv back into a TwoPortResponse."""
-    line_nos, rows = _read_csv(text, RESPONSE_CSV_HEADER, "response")
-    data = np.array(rows).reshape(len(rows), 7)
+    data = _read_csv(text, RESPONSE_CSV_HEADER, "response")
     try:
         grid = FrequencyGrid(data[:, 0])
     except ValueError as err:
-        raise _table_error(line_nos, err)
+        raise _table_error(text, err)
     # viewing the re/im pairs as complex keeps signed zeros, which re + 1j*im would not
     s = data[:, 1:5].copy().view(complex)
     return TwoPortResponse(grid=grid, s11=s[:, 0], s21=s[:, 1], z0_ohm=z0_ohm)
@@ -302,8 +366,8 @@ def material_to_csv(mat: MaterialModel) -> str:
 
 
 def material_from_csv(text: str) -> MaterialModel:
-    line_nos, rows = _read_csv(text, MATERIAL_CSV_HEADER, "material")
+    data = _read_csv(text, MATERIAL_CSV_HEADER, "material")
     try:
-        return MaterialModel.from_arrays(*np.array(rows).reshape(len(rows), 4).T)
+        return MaterialModel.from_arrays(*data.T)
     except ValueError as err:
-        raise _table_error(line_nos, err)
+        raise _table_error(text, err)

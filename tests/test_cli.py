@@ -368,7 +368,7 @@ def test_missing_input_file(tmp_path, capsys):
 
 
 def test_internal_numeric_error_maps_to_exit_1(monkeypatch, capsys):
-    # build_parser resolves _cmd_synth at call time, so patching the module
+    # main resolves _cmd_synth at call time, so patching the module
     # attribute reroutes the subcommand
     import coaxfilt.cli as cli_mod
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,28 @@ def test_invert_quarter_wave_point():
 def test_invert_rejects_nonfinite():
     _, _, reason = cf.invert_points([complex("nan")], [0.5])
     assert cf.REASONS[reason[0]] == "passivity-violation"
+
+
+def test_invert_flags_overflowed_propagation_factor():
+    # |S| ~ 1e154 is finite, but S11^2 overflows and P comes out NaN
+    _, p, reason = cf.invert_points([0.1, 1e154 * (1 + 1j), 0.1], [0.9, 1e154, 0.9])
+    assert np.isnan(p[1])
+    assert [cf.REASONS[c] for c in reason] == ["", "passivity-violation", ""]
+
+
+def test_extract_material_flags_only_the_overflowed_point():
+    # one NaN P used to reach unwrap_gamma, whose cumsum made every later
+    # point unphysical-material and refused the whole sweep
+    mat = affine_material(eps=(4.2, 4.2), alpha=(0.0, 60.0))
+    geom = cf.CoaxGeometry(0.042, INNER_D, OUTER_D)
+    resp = _synthetic_response(mat, geom, n=5, f_start=1e8, f_stop=5e8)
+    s11, s21 = resp.s11.copy(), resp.s21.copy()
+    s11[1], s21[1] = 1e154 * (1 + 1j), 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = cf.extract_material(cf.TwoPortResponse(resp.grid, s11, s21, 50.0), geom)
+    assert report.flags == {1: "passivity-violation"}
+    assert report.material.table[0].tolist() == resp.grid.points_hz[[0, 2, 3, 4]].tolist()
 
 
 def test_invert_forward_consistency_with_model():
@@ -110,7 +134,7 @@ def _invert_point_oracle(s11, s21):
         if abs(den) < 1e-12:
             return None, None, "near-singular-inversion"
         prop_factor = (v - gamma_refl) / den
-    if abs(prop_factor) > 1.0 + 1e-9:
+    if not cmath.isfinite(prop_factor) or abs(prop_factor) > 1.0 + 1e-9:
         return gamma_refl, prop_factor, "passivity-violation"
     if abs(prop_factor) == 0.0:
         return gamma_refl, prop_factor, "zero-transmission"
@@ -484,11 +508,21 @@ def _moving_median_oracle(a, window):
     return out
 
 
+def _quiet_nan(negative, payload):
+    bits = (negative << 63) | (0xFFF << 51) | payload
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.integers(0, 60).flatmap(
         lambda n: st.lists(
-            st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, 2.0])),
+            st.one_of(
+                st.floats(-1e3, 1e3),
+                # signed-zero ties, infinities, and quiet NaNs of either sign and any payload
+                st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf]),
+                st.builds(_quiet_nan, st.booleans(), st.integers(0, 2**51 - 1)),
+            ),
             min_size=n, max_size=n,
         )
     )

@@ -424,3 +424,162 @@ def test_writers_refuse_non_finite(bad):
     resp = cf.TwoPortResponse(grid=raw.grid, s11=raw.s21, s21=raw.s11)
     with pytest.raises(ValueError, match="non-finite"):
         cf.export_csv(resp)
+
+
+# ------------------------------------------- bulk readers vs line loops
+#
+# The readers validate whole arrays first and rerun their line-by-line
+# loop only to name an error. The loop is the oracle: the bulk path must
+# return bit-identical arrays for every text the loop accepts, and must
+# decline (return None) every text the loop refuses.
+
+ts = cf.touchstone
+
+# tokens float() accepts: signed zeros, subnormals, digit grouping
+_number_token = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: "%.12g" % x),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1e-310", "-2.5e-320",
+                     "1_0", "-1_000.25", "1e1_0", "+.5", "5.", "1E3"]),
+)
+_gap = st.sampled_from([" ", "  ", "\t", " \t "])
+_blank = st.sampled_from(["", "   ", "\t"])
+_case = st.sampled_from([str.lower, str.upper, str.title])
+# what float() refuses, or reads as non-finite
+_bad_token = st.sampled_from(["x", "nan", "-inf", "1e999", "0x10", "1__0", "--1", "#"])
+
+
+@st.composite
+def _s2p_lines(draw):
+    groups = [[draw(_case)(draw(st.sampled_from(list(_UNIT_TO_HZ))))], [draw(_case)("s")],
+              [draw(_case)(draw(st.sampled_from(["ri", "ma", "db"])))]]
+    if draw(st.booleans()):
+        groups.append([draw(_case)("r"), repr(draw(st.floats(1e-3, 1e3)))])
+    option = draw(st.sampled_from(["#", "# ", "#\t"])) + draw(_gap).join(
+        tok for group in draw(st.permutations(groups)) for tok in group)
+    lines = ["! measured data", option + draw(st.sampled_from(["", " ! option # line"]))]
+    for f in sorted(draw(st.lists(st.floats(1e-6, 1e12), max_size=8, unique=True))):
+        tokens = [repr(f), *draw(st.lists(_number_token, min_size=8, max_size=8))]
+        line = draw(_gap).join(tokens)
+        lines.append(draw(_gap) + line + draw(st.sampled_from(["", " ! note 1 2 3", "!#"])))
+        lines += draw(st.lists(st.one_of(_blank, st.just("! 1 2 3 4 5 6 7 8 9")), max_size=2))
+    return lines
+
+
+@st.composite
+def _corrupted(draw, lines, first_data, sep, bad_lines):
+    """lines with one fault at a drawn position, or unchanged."""
+    i = draw(st.integers(first_data, max(first_data, len(lines) - 1)))
+    fault = draw(st.sampled_from(["none", "shift", "token", "line", "swap"]))
+    lines = list(lines)
+    if fault == "none" or i >= len(lines):
+        return lines
+    if fault == "line":
+        lines.insert(i, draw(st.sampled_from(bad_lines)))
+        return lines
+    row = lines[i].split(sep)
+    if fault == "shift" and i + 1 < len(lines):
+        # one token moves to the next line: the total count stays a multiple
+        lines[i], lines[i + 1] = sep.join(row[:-1]), lines[i + 1] + sep + row[-1]
+    elif fault == "token":
+        row[draw(st.integers(0, len(row) - 1))] = draw(_bad_token)
+        lines[i] = sep.join(row)
+    elif fault == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return lines
+
+
+def _assert_bulk_matches_loop(bulk, loop, lines, same):
+    try:
+        expected = loop(lines)
+    except cf.ParseError:
+        assert bulk(lines) is None
+        return
+    except OverflowError as err:
+        # 10 ** (dB / 20) overflows above about 6165 dB: the bulk path raises
+        # the same, or declines and leaves the loop to raise it
+        try:
+            assert bulk(lines) is None
+        except OverflowError as bulk_err:
+            assert str(bulk_err) == str(err)
+        return
+    got = bulk(lines)
+    assert got is not None
+    assert same(got, expected)
+
+
+def _same_bits(got, expected):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_s2p_bulk_matches_line_loop(data):
+    lines = data.draw(_s2p_lines())
+    lines = data.draw(_corrupted(lines, 2, " ", ["# GHZ S RI R 50", "1 2 3", "!"]))
+    _assert_bulk_matches_loop(ts._parse_s2p_bulk, ts._parse_s2p_lines, lines, _same_bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), header=st.sampled_from([_MAT_HEADER, _RESP_HEADER]))
+def test_read_csv_bulk_matches_line_loop(data, header):
+    n_cols = header.count(",") + 1
+    lines = data.draw(st.lists(_blank, max_size=2)) + [data.draw(_gap) + header]
+    first_data = len(lines)
+    for _ in range(data.draw(st.integers(0, 8))):
+        fields = data.draw(st.lists(_number_token, min_size=n_cols, max_size=n_cols))
+        lines.append(",".join(data.draw(st.sampled_from(["", " "])) + f for f in fields))
+        lines += data.draw(st.lists(_blank, max_size=1))
+    lines = data.draw(_corrupted(lines, first_data, ",", [header, "1,2", ",,,"]))
+    _assert_bulk_matches_loop(
+        lambda ls: ts._read_csv_bulk(ls, header),
+        lambda ls: ts._read_csv_lines(ls, header, "material"),
+        lines,
+        lambda got, expected: got.tobytes() == expected.tobytes() and got.shape == expected.shape,
+    )
+
+
+# line numbers count the two header lines: row k of 2000 is on line k + 3
+@pytest.mark.parametrize(
+    "replace, line_no, message",
+    [
+        ({100: "101 0.1 0 0.9 0 0.9 0 0.1", 101: "102 0.1 0 0.9 0 0.9 0 0.1 0 0"}, 103,
+         "expected 9 numbers on a two-port data line, got 8"),
+        ({1999: "# GHZ S RI R 50"}, 2002, "duplicate option line"),
+        ({1497: "1498 0.1 0 0.9 0 0.9 oops 0.1 0"}, 1500, "unparseable number 'oops'"),
+    ],
+    ids=["8-then-10-tokens", "second-option-line", "bad-token-line-1500"],
+)
+def test_parse_s2p_bulk_declines_and_loop_names_line(replace, line_no, message):
+    rows = [replace.get(k, f"{k + 1} 0.1 0 0.9 0 0.9 0 0.1 0") for k in range(2000)]
+    text = "! header\n# GHZ S RI R 50\n" + "\n".join(rows) + "\n"
+    assert ts._parse_s2p_bulk(text.splitlines()) is None
+    with pytest.raises(cf.ParseError) as err:
+        cf.parse_s2p(text)
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "reader, header, row, n_cols",
+    [(cf.material_from_csv, _MAT_HEADER, "%de6,4.2,1,0.5", 4),
+     (cf.response_from_csv, _RESP_HEADER, "%de6,0.1,0,0.9,0,-20,-0.9", 7)],
+    ids=["material", "response"],
+)
+def test_csv_bulk_declines_and_loop_names_line(reader, header, row, n_cols):
+    kind = "material" if reader is cf.material_from_csv else "response"
+    short = row.rsplit(",", 1)[0]
+    cases = [
+        # a short row, then a long one: the total field count is still right
+        ({100: short % 101, 101: (row + ",0") % 102}, 102,
+         f"expected {n_cols} columns, got {n_cols - 1}"),
+        ({1998: header}, 2000, f"unparseable number in {kind} CSV"),
+        ({1498: (short + ",nan") % 1499}, 1500, "non-finite number 'nan'"),
+        ({1498: "1499e6" + ",oops" * (n_cols - 1)}, 1500, f"unparseable number in {kind} CSV"),
+    ]
+    for replace, line_no, message in cases:
+        rows = [replace.get(k, row % (k + 1)) for k in range(2000)]
+        text = header + "\n" + "\n".join(rows) + "\n"
+        assert ts._read_csv_bulk(text.splitlines(), header) is None
+        with pytest.raises(cf.ParseError) as err:
+            reader(text)
+        assert str(err.value) == f"line {line_no}: {message}"
