@@ -67,6 +67,7 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
     g36 = matched_geometry(LENGTH_36, mat)
 
     # --- fixtures -----------------------------------------------------
+    fields = cf.touchstone.MATERIAL_CSV_HEADER.split(",")  # the MaterialModel.table columns
     design = {
         "geometry": {
             "length_m": LENGTH_42,
@@ -74,7 +75,7 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
             "outer_d_m": g42.outer_d_m,
         },
         "material": {
-            "samples": [s._asdict() for s in mat.samples]
+            "samples": [dict(zip(fields, row)) for row in zip(*(c.tolist() for c in mat.table))]
         },
         "z0_ohm": 50.0,
         "grid": {"f_start_hz": 1e9, "f_stop_hz": 2e10, "n_points": 21, "spacing": "linear"},

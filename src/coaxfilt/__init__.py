@@ -23,7 +23,6 @@ from .errors import (
 )
 from .extraction import (
     REASONS,
-    ExtractionPoint,
     ExtractionReport,
     extract_material,
     impedance_from_reflection,

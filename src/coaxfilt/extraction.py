@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +29,7 @@ _MATCHED_S11 = 1e-8
 _ALPHA_CLAMP = 1e-9
 
 _P_PASSIVE_TOL = 1e-9
+_DBL_MIN = np.finfo(float).tiny  # the smallest normal float
 _GAMMA_ROUNDING_TOL = 1e-6
 
 # Why a grid point is unusable, indexed by the codes in reason arrays;
@@ -39,22 +39,11 @@ REASONS = ("", "passivity-violation", "near-singular-inversion", "zero-transmiss
 _CODE = {reason: code for code, reason in enumerate(REASONS)}
 
 
-class ExtractionPoint(NamedTuple):
-    """One row of an ExtractionReport's per-point columns: a plain view."""
-
-    f_hz: float
-    gamma_refl: complex
-    prop_factor: complex
-    gamma: complex
-    z_ohm: complex
-    branch_index: int
-
-
 @dataclass(frozen=True, eq=False)
 class ExtractionReport:
     """Result of inverting one measured response.
 
-    The per-point columns (the ExtractionPoint fields) have one row per
+    The per-point columns (f_hz through branch_index) have one row per
     frequency that reached material conversion: unflagged points and those
     flagged negative-alpha or unphysical-material. Points refused by point
     inversion, dropped for branch-ambiguity or at an open circuit have no
@@ -76,12 +65,6 @@ class ExtractionReport:
     @cached_property
     def flags(self) -> dict[int, str]:
         return _flag_map(self.reason)
-
-    @cached_property
-    def points(self) -> tuple[ExtractionPoint, ...]:
-        """The per-point columns as ExtractionPoint rows, built on first access."""
-        columns = (getattr(self, name).tolist() for name in ExtractionPoint._fields)
-        return tuple(ExtractionPoint(*row) for row in zip(*columns))
 
 
 # CPython's complex arithmetic on real and imaginary arrays: numpy's complex
@@ -108,11 +91,23 @@ def _div(ar, ai, br, bi):
 
 
 def _sqrt(re, im):
-    """cmath.sqrt. np.sqrt agrees except at Re = 0, where CPython rounds Im
-    as |Im|/(2*Re(root)) instead of copying Re(root)."""
-    root = np.sqrt(_complex(re, im))
-    axis = (re == 0.0) & (im != 0.0)
-    return root.real, np.where(axis, np.copysign(np.abs(im) / (2.0 * root.real), im), root.imag)
+    """cmath.sqrt as CPython's cmath_sqrt_impl computes it for finite input: np.sqrt
+    differs in the last bit at Re = 0 and near the smallest normal float."""
+    ax, ay = np.abs(re), np.abs(im)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    if tiny.any():  # hypot(ax, ay) may be subnormal: scale by 2**53, back by 2**-27
+        up = np.ldexp(ax, 53)
+        s = np.where(tiny, np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27), s)
+    d = ay / (2.0 * s)
+    zero = (re == 0.0) & (im == 0.0)
+    root_re = np.where(zero, 0.0, np.where(re >= 0.0, s, d))
+    root_im = np.where(zero, im, np.copysign(np.where(re >= 0.0, d, s), im))
+    finite = np.isfinite(re) & np.isfinite(im)
+    if not finite.all():  # C99 special values, which cmath shares
+        root = np.sqrt(_complex(re, im))
+        root_re, root_im = np.where(finite, root_re, root.real), np.where(finite, root_im, root.imag)
+    return root_re, root_im
 
 
 def invert_points(s11, s21) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

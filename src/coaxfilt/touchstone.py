@@ -7,12 +7,12 @@ Angles are degrees in files and radians internally. All parse errors
 carry a 1-based line number, and non-finite numbers are refused on read
 and on write.
 
-The readers convert every number of a file in one pass (float() over
-all tokens) and validate whole arrays: the token count of each line,
-finiteness, and for Touchstone f > 0 and strictly increasing. Only when
-a check fails do they rerun the line-by-line loop. Every ParseError a
-caller sees comes from that loop, so it names the same line with the
-same text as a purely line-by-line reader would.
+Each reader splits its text into rows of tokens once, converts them all
+with float() and checks every rule as a mask over the rows: the token
+count, tokens that float() refuses or reads as non-finite, and for
+Touchstone f > 0, increasing f and a dB magnitude within float range.
+The earliest bad row is refused, for the first rule it breaks in that
+order, at its line as counted with blank and comment lines.
 
 The writers render every number as "%.12g" (12 significant digits) and
 build each output column once, then format whole rows through one row
@@ -25,6 +25,7 @@ a 12-digit field.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import ParseError, RowError
 from .txline import DB_FLOOR, FrequencyGrid, MaterialModel, TwoPortResponse, magnitude_db
+from .txline import _not_increasing, _refuse_bad_rows
 
 UNIT_TO_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 FORMATS = ("ri", "ma", "db")
@@ -74,12 +76,14 @@ def _require_finite(*arrays) -> None:
 
 
 def _pair_to_complex(fmt: str, a: float, b: float) -> complex:
-    if fmt == "ri":
-        return complex(a, b)
+    """One MA or DB pair as a complex value; non-finite if 10 ** (dB / 20) overflows."""
     if fmt == "ma":
         mag = a
     else:  # db
-        mag = 10.0 ** (a / 20.0)
+        try:
+            mag = 10.0 ** (a / 20.0)
+        except OverflowError:
+            mag = math.inf
     phase = math.radians(b)
     return mag * complex(math.cos(phase), math.sin(phase))
 
@@ -125,100 +129,87 @@ def _parse_option_line(line: str, line_no: int) -> tuple[str, str, float]:
     return unit, fmt, z0
 
 
-def _bulk_floats(rows: list[list[str]], n_cols: int) -> np.ndarray | None:
-    """The (len(rows), n_cols) floats of rows of n_cols finite tokens each, else None."""
-    if set(map(len, rows)) - {n_cols}:
-        return None
+def _floats(rows: list[list[str]], n_cols: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The token count of each row; the (len(rows), n_cols) float() of the tokens, NaN
+    where one is not a finite number and across a row without n_cols tokens; and
+    {row: its first token that is not a finite number}."""
+    counts = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    fitted = rows
+    if (counts != n_cols).any():
+        fitted = [row if len(row) == n_cols else ["nan"] * n_cols for row in rows]
     try:
-        vals = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float)
+        vals = np.fromiter(map(float, chain.from_iterable(fitted)), dtype=float)
+    except ValueError:  # a token float() refuses reads as NaN
+        vals = np.array([_float_or_none(t) for t in chain.from_iterable(fitted)], dtype=float)
+    vals = vals.reshape(-1, n_cols)
+    bad = ~np.isfinite(vals)
+    vals[bad] = np.nan
+    bad_rows = np.flatnonzero(_any_per_row(bad)).tolist()
+    return counts, vals, {r: rows[r][int(bad[r].argmax())] for r in bad_rows}
+
+
+def _float_or_none(token: str) -> float | None:
+    try:
+        return float(token)
     except ValueError:
         return None
-    return vals.reshape(-1, n_cols) if np.isfinite(vals).all() else None
+
+
+def _any_per_row(bad: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D mask that hold a True; the per-row pass runs only if one does."""
+    return bad.any(axis=1) if bad.any() else np.zeros(len(bad), dtype=bool)
+
+
+def _table_error(line_nos: list[int], err: ValueError) -> ParseError:
+    """The ParseError at the line of a RowError's row, else at the last line. line_nos
+    number the non-blank lines; data row k is on line_nos[k + 1], after the header."""
+    if isinstance(err, RowError):
+        return ParseError(line_nos[err.row + 1], err.reason)
+    return ParseError(line_nos[-1], str(err))
 
 
 def parse_s2p(text: str) -> RawTwoPort:
     """Parse Touchstone v1 two-port text into a RawTwoPort in Hz/RI form."""
     lines = text.splitlines()
-    f_hz, s, z0 = _parse_s2p_bulk(lines) or _parse_s2p_lines(lines)
-    return RawTwoPort(
-        grid=FrequencyGrid(f_hz), s11=s[:, 0], s21=s[:, 1], s12=s[:, 2], s22=s[:, 3], z0_ohm=z0
-    )
+    rows = [ln.partition("!")[0].split() for ln in lines]
+    content = list(filter(None, rows))
+    if not content:
+        raise ParseError(len(lines) + 1, "no option line found")
+    option_no = rows.index(content[0]) + 1
+    if not content[0][0].startswith("#"):
+        raise ParseError(option_no, "data encountered before the option line")
+    unit, fmt, z0 = _parse_option_line(" ".join(content[0]), option_no)
 
-
-def _parse_s2p_bulk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(f_hz, (n, 4) S-parameters, z0) of well-formed Touchstone lines, validated
-    as whole arrays; None on any fault, which _parse_s2p_lines then names."""
-    rows = list(filter(None, [ln.partition("!")[0].split() for ln in lines]))
-    if not rows or not rows[0][0].startswith("#"):
-        return None
-    try:
-        unit, fmt, z0 = _parse_option_line(" ".join(rows[0]), 0)
-    except ParseError:  # raised again, at its line, by the loop
-        return None
-    vals = _bulk_floats(rows[1:], 9)
-    if vals is None:
-        return None
+    data = content[1:]
+    counts, vals, bad_token = _floats(data, 9)
     with np.errstate(over="ignore"):
         f_hz = vals[:, 0] * UNIT_TO_HZ[unit]
-    if not ((f_hz > 0.0).all() and (f_hz[1:] > f_hz[:-1]).all()):
-        return None
     if fmt == "ri":
         # viewing the re/im pairs as complex keeps signed zeros, as complex(a, b) does
-        return f_hz, vals[:, 1:].copy().view(complex), z0
-    pairs = zip(vals[:, 1::2].ravel().tolist(), vals[:, 2::2].ravel().tolist())
-    s = np.array([_pair_to_complex(fmt, a, b) for a, b in pairs], dtype=complex)
-    return f_hz, s.reshape(-1, 4), z0
-
-
-def _parse_s2p_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray, float]:
-    """parse_s2p line by line: the reader that names the line of a ParseError."""
-    option: tuple[str, str, float] | None = None
-    freqs: list[float] = []
-    rows: list[list[complex]] = []
-    last_line = 0
-
-    for line_no, raw_line in enumerate(lines, start=1):
-        last_line = line_no
-        line = raw_line.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if option is not None:
-                raise ParseError(line_no, "duplicate option line")
-            option = _parse_option_line(line, line_no)
-            continue
-        if option is None:
-            raise ParseError(line_no, "data encountered before the option line")
-
-        unit, fmt, _ = option
-        tokens = line.split()
-        if len(tokens) != 9:
-            raise ParseError(
-                line_no, f"expected 9 numbers on a two-port data line, got {len(tokens)}"
-            )
-        values: list[float] = []
-        for tok in tokens:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(line_no, f"unparseable number {tok!r}")
-            if not math.isfinite(v):
-                raise ParseError(line_no, f"non-finite number {tok!r}")
-            values.append(v)
-
-        f_hz = values[0] * UNIT_TO_HZ[unit]
-        if f_hz <= 0.0:
-            raise ParseError(line_no, f"frequency must be > 0, got {values[0]!r}")
-        if freqs and f_hz <= freqs[-1]:
-            raise ParseError(line_no, "frequencies must be strictly increasing")
-        freqs.append(f_hz)
-        rows.append(
-            [_pair_to_complex(fmt, values[k], values[k + 1]) for k in (1, 3, 5, 7)]
+        s = vals[:, 1:].copy().view(complex)
+    else:
+        pairs = zip(vals[:, 1::2].ravel().tolist(), vals[:, 2::2].ravel().tolist())
+        s = np.array([_pair_to_complex(fmt, a, b) for a, b in pairs], dtype=complex).reshape(-1, 4)
+    idx = np.arange(len(data))
+    # a "#" row has the wrong count or a token float() refuses, so it is in bad_token
+    option_rows = [r for r in bad_token if data[r][0].startswith("#")]
+    refused = [r for r, tok in bad_token.items() if _float_or_none(tok) is None]
+    try:
+        _refuse_bad_rows(
+            [
+                (np.isin(idx, option_rows), counts, "duplicate option line"),
+                (counts != 9, counts, "expected 9 numbers on a two-port data line, got {}"),
+                (np.isin(idx, refused), bad_token, "unparseable number {!r}"),
+                (np.isin(idx, list(bad_token)), bad_token, "non-finite number {!r}"),
+                (f_hz <= 0.0, vals[:, 0], "frequency must be > 0, got {!r}"),
+                (_not_increasing(f_hz), f_hz, "frequencies must be strictly increasing"),
+                (_any_per_row(~np.isfinite(s)), counts, "dB magnitude out of range"),
+            ]
         )
-
-    if option is None:
-        raise ParseError(last_line + 1, "no option line found")
-    return np.array(freqs), np.array(rows, dtype=complex).reshape(len(rows), 4), option[2]
+        grid = FrequencyGrid(f_hz)
+    except RowError as err:
+        raise _table_error([no for no, row in enumerate(rows, start=1) if row], err)
+    return RawTwoPort(grid=grid, s11=s[:, 0], s21=s[:, 1], s12=s[:, 2], s22=s[:, 3], z0_ohm=z0)
 
 
 def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
@@ -292,69 +283,39 @@ def export_csv(resp: TwoPortResponse) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_csv(text: str, header: str, kind: str) -> np.ndarray:
-    """Data rows of a toolkit CSV as an (n, columns) float array; blank lines are skipped."""
+def _read_csv(text: str, header: str, kind: str, build: Callable):
+    """build() of the (n, columns) floats of a toolkit CSV's data rows. Blank
+    lines are skipped; a bad row, or a RowError from build, names its line."""
     lines = text.splitlines()
-    data = _read_csv_bulk(lines, header)
-    return data if data is not None else _read_csv_lines(lines, header, kind)
-
-
-def _read_csv_bulk(lines: list[str], header: str) -> np.ndarray | None:
-    """_read_csv of well-formed lines, validated as whole arrays; None on any
-    fault, which _read_csv_lines then names."""
     content = list(filter(str.strip, lines))
-    if not content or content[0].strip() != header:
-        return None
-    return _bulk_floats([ln.split(",") for ln in content[1:]], header.count(",") + 1)
-
-
-def _numbered(lines: list[str]) -> list[tuple[int, str]]:
-    """The non-blank lines with their 1-based line numbers."""
-    return [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
-
-
-def _read_csv_lines(lines: list[str], header: str, kind: str) -> np.ndarray:
-    """_read_csv line by line: the reader that names the line of a ParseError."""
-    numbered = _numbered(lines)
-    if not numbered:
+    if not content:
         raise ParseError(1, f"empty {kind} CSV")
-    if numbered[0][1].strip() != header:
-        raise ParseError(numbered[0][0], f"expected header {header!r}")
+    if content[0].strip() != header:
+        raise ParseError(lines.index(content[0]) + 1, f"expected header {header!r}")
     n_cols = header.count(",") + 1
-    rows: list[list[float]] = []
-    for line_no, line in numbered[1:]:
-        fields = line.split(",")
-        if len(fields) != n_cols:
-            raise ParseError(line_no, f"expected {n_cols} columns, got {len(fields)}")
-        try:
-            values = [float(v) for v in fields]
-        except ValueError:
-            raise ParseError(line_no, f"unparseable number in {kind} CSV")
-        for tok, v in zip(fields, values):
-            if not math.isfinite(v):
-                raise ParseError(line_no, f"non-finite number {tok.strip()!r}")
-        rows.append(values)
-    return np.array(rows).reshape(len(rows), n_cols)
-
-
-def _table_error(text: str, err: ValueError) -> ParseError:
-    """The ParseError for a table read by _read_csv: at the bad row, else the last line.
-
-    Data row k is on the (k + 2)-th non-blank line, after the header.
-    """
-    line_nos = [no for no, _ in _numbered(text.splitlines())]
-    if isinstance(err, RowError):
-        return ParseError(line_nos[err.row + 1], err.reason)
-    return ParseError(line_nos[-1], str(err))
+    rows = [ln.split(",") for ln in content[1:]]
+    counts, vals, bad_token = _floats(rows, n_cols)
+    idx = np.arange(len(rows))
+    refused = [r for r in bad_token if any(_float_or_none(t) is None for t in rows[r])]
+    try:
+        _refuse_bad_rows(
+            [
+                (counts != n_cols, counts, f"expected {n_cols} columns, got {{}}"),
+                (np.isin(idx, refused), counts, f"unparseable number in {kind} CSV"),
+                (np.isin(idx, list(bad_token)), {r: t.strip() for r, t in bad_token.items()},
+                 "non-finite number {!r}"),
+            ]
+        )
+        return build(vals)
+    except ValueError as err:
+        raise _table_error([no for no, ln in enumerate(lines, start=1) if ln.strip()], err)
 
 
 def response_from_csv(text: str, z0_ohm: float = 50.0) -> TwoPortResponse:
     """Read a response CSV written by export_csv back into a TwoPortResponse."""
-    data = _read_csv(text, RESPONSE_CSV_HEADER, "response")
-    try:
-        grid = FrequencyGrid(data[:, 0])
-    except ValueError as err:
-        raise _table_error(text, err)
+    grid, data = _read_csv(
+        text, RESPONSE_CSV_HEADER, "response", lambda data: (FrequencyGrid(data[:, 0]), data)
+    )
     # viewing the re/im pairs as complex keeps signed zeros, which re + 1j*im would not
     s = data[:, 1:5].copy().view(complex)
     return TwoPortResponse(grid=grid, s11=s[:, 0], s21=s[:, 1], z0_ohm=z0_ohm)
@@ -366,8 +327,4 @@ def material_to_csv(mat: MaterialModel) -> str:
 
 
 def material_from_csv(text: str) -> MaterialModel:
-    data = _read_csv(text, MATERIAL_CSV_HEADER, "material")
-    try:
-        return MaterialModel.from_arrays(*data.T)
-    except ValueError as err:
-        raise _table_error(text, err)
+    return _read_csv(text, MATERIAL_CSV_HEADER, "material", lambda data: MaterialModel(*data.T))

@@ -34,18 +34,21 @@ def _not_increasing(x: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _refuse_bad_rows(checks: list[tuple[np.ndarray, np.ndarray, str]]) -> None:
+def _refuse_bad_rows(checks: list[tuple[np.ndarray, np.ndarray | dict, str]]) -> None:
     """Raise RowError for the first row that any (bad_mask, values, message) marks.
 
     Within that row the first check listed wins; "{}" in its message is
-    filled with the row's value.
+    filled with values[row] (values is an array, or a dict over the marked
+    rows; a numpy scalar is given as the Python number it holds).
     """
     bad = np.array([mask for mask, _, _ in checks])
     rows = np.flatnonzero(bad.any(axis=0))
     if rows.size:
         row = int(rows[0])
         _, values, message = checks[int(np.argmax(bad[:, row]))]
-        raise RowError(row, message.format(float(values[row])))
+        value = values[row]
+        value = value.item() if isinstance(value, np.generic) else value
+        raise RowError(row, message.format(value))
 
 
 @dataclass(frozen=True)

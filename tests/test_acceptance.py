@@ -17,6 +17,8 @@ import pytest
 import coaxfilt as cf
 from coaxfilt.cli import main as cli_main
 
+from conftest import matched_material_and_geoms
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -149,13 +151,7 @@ def test_criterion_4_noiseless_round_trip():
 def test_criterion_5_noise_monte_carlo():
     with _criterion(5, "sigma=0.01 noise: 95% of 200 trials within 5%, < 60 s"):
         f = np.linspace(1e7, 2e10, 2001)
-        a1 = 1.0 / (cf.NP_TO_DB * 1e9 * 0.042)  # 1 dB/GHz at 42 mm
-        mat = cf.MaterialModel.from_arrays(
-            [1e7, 2e10], [4.2, 4.2], [1.0, 1.0], [a1 * 1e7, a1 * 2e10]
-        )
-        ratio = cf.solve_diameter_ratio(50.0, mat, 1e9)
-        g42 = cf.CoaxGeometry(0.042, 0.0051, 0.0051 * ratio)
-        g36 = cf.CoaxGeometry(0.036, 0.0051, 0.0051 * ratio)
+        mat, g42, g36 = matched_material_and_geoms()
         grid = cf.FrequencyGrid(f)
         resp42 = cf.s_params_model(g42, mat, grid, 50.0)
         truth36 = cf.s_params_model(g36, mat, grid, 50.0)

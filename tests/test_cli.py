@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coaxfilt as cf
 from coaxfilt.cli import main
 
@@ -341,12 +343,23 @@ def test_check_empty_band(capsys):
     assert code == 2
 
 
-def test_convert_malformed_reports_line(tmp_path, capsys):
-    bad = tmp_path / "bad.s2p"
-    bad.write_text("# GHZ S RI R 50\n1.0 0.1 0 0.9 0\n")
-    code, _, err = run(capsys, ["convert", str(bad), str(tmp_path / "o.s2p")])
-    assert code == 2
-    assert "line 2" in err
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        ("# GHZ S RI R 50\n1.0 0.1 0 0.9 0\n", 2,
+         "error: line 2: expected 9 numbers on a two-port data line, got 5\n"),
+        # 10 ** (dB / 20) is beyond the float range above about 6165.1 dB
+        ("# GHZ S DB R 50\n1 6165 0 0 0 0 0 0 0\n", 0, ""),
+        ("# GHZ S DB R 50\n1 6166 0 0 0 0 0 0 0\n", 2,
+         "error: line 2: dB magnitude out of range\n"),
+    ],
+    ids=["token-count", "db-6165", "db-6166"],
+)
+def test_convert_malformed_reports_line(tmp_path, capsys, text, code, err):
+    src = tmp_path / "in.s2p"
+    src.write_text(text)
+    assert run(capsys, ["convert", str(src), str(tmp_path / "o.s2p")])[::2] == (code, err)
+    assert (tmp_path / "o.s2p").exists() == (code == 0)
 
 
 def test_convert_round_trip_preserves_values(tmp_path, capsys):

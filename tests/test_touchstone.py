@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,6 +46,9 @@ def test_parse_db_line():
     assert raw.s21[0] == pytest.approx(-0.5j, abs=1e-5)
     mag = 10.0 ** (-6.0206 / 20.0)
     assert abs(raw.s21[0]) == pytest.approx(mag, rel=1e-12)
+    # 6165 dB is within the float range; 6166 dB is refused (see below)
+    raw = cf.parse_s2p("# GHZ S DB R 50\n1 6165 0 0 0 0 0 0 0\n")
+    assert raw.s11[0] == 10.0 ** (6165 / 20.0)
 
 
 def test_parse_ma_line_and_defaults():
@@ -89,6 +93,18 @@ def test_parse_empty_data_ok():
         ("# GHZ S RI R 50\n1.0 0.1 nan 0.9 0 0.9 0 0.1 0\n", 2, "non-finite"),
         ("# GHZ S RI R 50\n2.0 0 0 1 0 1 0 0 0\n1.0 0 0 1 0 1 0 0 0\n", 3, "strictly increasing"),
         ("# GHZ S RI R 50\n0.0 0 0 1 0 1 0 0 0\n", 2, "must be > 0"),
+        # the earliest bad row wins, for the first of: a "#" line, the token count, the
+        # first bad token, f > 0, increasing f, a dB value beyond the float range
+        ("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n#x\n", 3, "duplicate option line"),
+        ("# GHZ S RI R 50\n1 nan x 0 0 0 0 0 0\n", 2, "non-finite number 'nan'"),
+        ("# GHZ S RI R 50\n1 x nan 0 0 0 0 0 0\n", 2, "unparseable number 'x'"),
+        ("# GHZ S RI R 50\n0 0 0 0 0 0 0 0 inf\n", 2, "non-finite number 'inf'"),
+        ("# GHZ S RI R 50\n0 0 0 0 0 0 0 0 0\n1 x\n", 2, "frequency must be > 0, got 0.0"),
+        ("# GHZ S DB R 50\n0 6166 0 0 0 0 0 0 0\n", 2, "frequency must be > 0, got 0.0"),
+        ("# GHZ S DB R 50\n1 0 0 0 0 0 0 0 0\n2 0 0 0 0 0 0 6166 0\n", 3,
+         "dB magnitude out of range"),
+        ("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n1e300 0 0 0 0 0 0 0 0\n", 3,
+         "grid frequencies must be finite, got inf"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):
@@ -208,8 +224,8 @@ def _oracle_export_csv(resp):
 
 def _oracle_material_to_csv(mat):
     lines = [_MAT_HEADER]
-    for s in mat.samples:
-        lines.append(",".join(_fmt(v) for v in (s.f_hz, s.eps_rel, s.mu_rel, s.alpha_np_per_m)))
+    for row in zip(*(c.tolist() for c in mat.table)):
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -357,37 +373,24 @@ def test_response_csv_round_trip():
     assert np.max(np.abs(back.s21 - resp.s21)) < 1e-12
 
 
-def test_response_csv_errors():
-    with pytest.raises(cf.ParseError):
-        cf.response_from_csv("")
-    with pytest.raises(cf.ParseError):
-        cf.response_from_csv("wrong,header\n")
-    with pytest.raises(cf.ParseError) as err:
-        cf.response_from_csv("freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n1,2\n")
-    assert err.value.line_no == 2
-
-
 def test_material_csv_round_trip():
     mat = cf.MaterialModel.from_arrays(
         [1e7, 2e10], [4.0, 5.5], [1.2, 1.0], [0.0, 60.0]
     )
     back = cf.material_from_csv(cf.material_to_csv(mat))
-    for a, b in zip(mat.samples, back.samples):
-        assert a == b
-
-
-def test_material_csv_errors():
-    with pytest.raises(cf.ParseError):
-        cf.material_from_csv("bad header\n1,2,3,4\n")
-    with pytest.raises(cf.ParseError) as err:
-        cf.material_from_csv("f_hz,eps_rel,mu_rel,alpha_np_per_m\n1e9,4.0,1.0\n")
-    assert err.value.line_no == 2
+    for a, b in zip(mat.table, back.table):
+        assert a.tolist() == b.tolist()
 
 
 # Every bad table is refused at the line of its first bad row, counting blank lines.
 @pytest.mark.parametrize(
     "reader, text, line_no, message",
     [
+        (cf.response_from_csv, "", 1, "empty response CSV"),
+        (cf.response_from_csv, "wrong,header\n", 1, f"expected header {_RESP_HEADER!r}"),
+        (cf.response_from_csv, f"{_RESP_HEADER}\n1,2\n", 2, "expected 7 columns, got 2"),
+        (cf.material_from_csv, "bad header\n1,2,3,4\n", 1, f"expected header {_MAT_HEADER!r}"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4.0,1.0\n", 2, "expected 4 columns, got 3"),
         (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,nan,1,0\n2e9,4,nan,inf\n", 2,
          "non-finite number 'nan'"),
         (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,1,0\n2e9,4,1,inf\n", 3,
@@ -406,9 +409,15 @@ def test_material_csv_errors():
         (cf.response_from_csv,
          f"{_RESP_HEADER}\n2e9,0,0,1,0,-300,0\n1e9,0,0,1,0,-300,0\n3e9,0,0,1,0,-300,0\n", 3,
          "grid frequencies must be strictly increasing"),
+        # an unparseable field wins anywhere in its row, else the first non-finite one
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,nan,1,x\n", 2,
+         "unparseable number in material CSV"),
+        (cf.response_from_csv, f"{_RESP_HEADER}\n1e9,inf,0,1,0,-300,zero\n", 2,
+         "unparseable number in response CSV"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,-inf, nan \n", 2, "non-finite number '-inf'"),
     ],
 )
-def test_csv_readers_refuse_non_finite(reader, text, line_no, message):
+def test_csv_readers_name_bad_line(reader, text, line_no, message):
     with pytest.raises(cf.ParseError) as err:
         reader(text)
     assert err.value.line_no == line_no
@@ -426,14 +435,128 @@ def test_writers_refuse_non_finite(bad):
         cf.export_csv(resp)
 
 
-# ------------------------------------------- bulk readers vs line loops
+# ------------------------------------------------ readers vs line loops
 #
-# The readers validate whole arrays first and rerun their line-by-line
-# loop only to name an error. The loop is the oracle: the bulk path must
-# return bit-identical arrays for every text the loop accepts, and must
-# decline (return None) every text the loop refuses.
+# The line-by-line loops below are the readers as they were before each
+# became one pass over array masks, and the oracle for them: the reader
+# must return bit-identical arrays for every text the loop accepts and
+# raise the identical ParseError for every text it refuses. The one
+# change allowed: a dB value the loop let escape as OverflowError is
+# refused at its line.
 
-ts = cf.touchstone
+
+def _pair_to_complex(fmt, a, b):
+    if fmt == "ri":
+        return complex(a, b)
+    if fmt == "ma":
+        mag = a
+    else:  # db
+        mag = 10.0 ** (a / 20.0)
+    phase = math.radians(b)
+    return mag * complex(math.cos(phase), math.sin(phase))
+
+
+def _parse_s2p_lines(lines):
+    option = None
+    freqs = []
+    rows = []
+    last_line = 0
+    for line_no, raw_line in enumerate(lines, start=1):
+        last_line = line_no
+        line = raw_line.split("!", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if option is not None:
+                raise cf.ParseError(line_no, "duplicate option line")
+            option = cf.touchstone._parse_option_line(line, line_no)
+            continue
+        if option is None:
+            raise cf.ParseError(line_no, "data encountered before the option line")
+        unit, fmt, _ = option
+        tokens = line.split()
+        if len(tokens) != 9:
+            raise cf.ParseError(
+                line_no, f"expected 9 numbers on a two-port data line, got {len(tokens)}")
+        values = []
+        for tok in tokens:
+            try:
+                v = float(tok)
+            except ValueError:
+                raise cf.ParseError(line_no, f"unparseable number {tok!r}")
+            if not math.isfinite(v):
+                raise cf.ParseError(line_no, f"non-finite number {tok!r}")
+            values.append(v)
+        f_hz = values[0] * _UNIT_TO_HZ[unit]
+        if f_hz <= 0.0:
+            raise cf.ParseError(line_no, f"frequency must be > 0, got {values[0]!r}")
+        if freqs and f_hz <= freqs[-1]:
+            raise cf.ParseError(line_no, "frequencies must be strictly increasing")
+        freqs.append(f_hz)
+        rows.append([_pair_to_complex(fmt, values[k], values[k + 1]) for k in (1, 3, 5, 7)])
+    if option is None:
+        raise cf.ParseError(last_line + 1, "no option line found")
+    return np.array(freqs), np.array(rows, dtype=complex).reshape(len(rows), 4), option[2]
+
+
+def _numbered(lines):
+    return [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
+
+
+def _read_csv_lines(lines, header, kind):
+    numbered = _numbered(lines)
+    if not numbered:
+        raise cf.ParseError(1, f"empty {kind} CSV")
+    if numbered[0][1].strip() != header:
+        raise cf.ParseError(numbered[0][0], f"expected header {header!r}")
+    n_cols = header.count(",") + 1
+    rows = []
+    for line_no, line in numbered[1:]:
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise cf.ParseError(line_no, f"expected {n_cols} columns, got {len(fields)}")
+        try:
+            values = [float(v) for v in fields]
+        except ValueError:
+            raise cf.ParseError(line_no, f"unparseable number in {kind} CSV")
+        for tok, v in zip(fields, values):
+            if not math.isfinite(v):
+                raise cf.ParseError(line_no, f"non-finite number {tok.strip()!r}")
+        rows.append(values)
+    return np.array(rows).reshape(len(rows), n_cols)
+
+
+def _oracle_csv(lines, header, kind, build):
+    """The loop's table passed to build, a ValueError named at its row's line."""
+    data = _read_csv_lines(lines, header, kind)
+    try:
+        return build(data)
+    except ValueError as err:
+        line_nos = [no for no, _ in _numbered(lines)]
+        if isinstance(err, cf.RowError):
+            raise cf.ParseError(line_nos[err.row + 1], err.reason)
+        raise cf.ParseError(line_nos[-1], str(err))
+
+
+def _oracle_response(data):
+    s = data[:, 1:5].copy().view(complex)
+    return cf.FrequencyGrid(data[:, 0]).points_hz, s[:, 0], s[:, 1]
+
+
+def _read_response(text):
+    resp = cf.response_from_csv(text)
+    return resp.grid.points_hz, resp.s11, resp.s21
+
+
+# per header: the reader's arrays, and the same built from the loop's table
+_CSV_READERS = {
+    _MAT_HEADER: (lambda text: cf.material_from_csv(text).table,
+                  partial(_oracle_csv, header=_MAT_HEADER, kind="material",
+                          build=lambda data: cf.MaterialModel(*data.T).table)),
+    _RESP_HEADER: (_read_response, partial(_oracle_csv, header=_RESP_HEADER, kind="response",
+                                           build=_oracle_response)),
+}
+
 
 # tokens float() accepts: signed zeros, subnormals, digit grouping
 _number_token = st.one_of(
@@ -446,7 +569,7 @@ _gap = st.sampled_from([" ", "  ", "\t", " \t "])
 _blank = st.sampled_from(["", "   ", "\t"])
 _case = st.sampled_from([str.lower, str.upper, str.title])
 # what float() refuses, or reads as non-finite
-_bad_token = st.sampled_from(["x", "nan", "-inf", "1e999", "0x10", "1__0", "--1", "#"])
+_bad_token = st.sampled_from(["x", "nan", "-inf", "1e999", "0x10", "1__0", "--1", "#", "#x"])
 
 
 @st.composite
@@ -463,6 +586,20 @@ def _s2p_lines(draw):
         line = draw(_gap).join(tokens)
         lines.append(draw(_gap) + line + draw(st.sampled_from(["", " ! note 1 2 3", "!#"])))
         lines += draw(st.lists(st.one_of(_blank, st.just("! 1 2 3 4 5 6 7 8 9")), max_size=2))
+    return lines
+
+
+@st.composite
+def _csv_lines(draw, header):
+    """A toolkit CSV with increasing positive frequencies; the other fields are
+    valid material values in half the draws and any float() token otherwise."""
+    n_cols = header.count(",") + 1
+    token = draw(st.sampled_from([st.floats(1.0, 1e6).map(repr), _number_token]))
+    lines = draw(st.lists(_blank, max_size=2)) + [draw(_gap) + header]
+    for f in sorted(draw(st.lists(st.floats(1e-6, 1e12), max_size=8, unique=True))):
+        fields = [repr(f), *draw(st.lists(token, min_size=n_cols - 1, max_size=n_cols - 1))]
+        lines.append(",".join(draw(st.sampled_from(["", " "])) + f for f in fields))
+        lines += draw(st.lists(_blank, max_size=1))
     return lines
 
 
@@ -489,54 +626,54 @@ def _corrupted(draw, lines, first_data, sep, bad_lines):
     return lines
 
 
-def _assert_bulk_matches_loop(bulk, loop, lines, same):
+def _assert_matches_loop(read, loop, text, same):
+    lines = text.splitlines()
     try:
         expected = loop(lines)
-    except cf.ParseError:
-        assert bulk(lines) is None
+    except cf.ParseError as err:
+        with pytest.raises(cf.ParseError) as got:
+            read(text)
+        assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
         return
-    except OverflowError as err:
-        # 10 ** (dB / 20) overflows above about 6165 dB: the bulk path raises
-        # the same, or declines and leaves the loop to raise it
-        try:
-            assert bulk(lines) is None
-        except OverflowError as bulk_err:
-            assert str(bulk_err) == str(err)
+    except OverflowError:  # 10 ** (dB / 20) above about 6165.1 dB
+        with pytest.raises(cf.ParseError) as got:
+            read(text)
+        line_no = got.value.line_no
+        assert str(got.value) == f"line {line_no}: dB magnitude out of range"
+        loop(lines[: line_no - 1])  # the first line on which the loop overflows
+        with pytest.raises(OverflowError):
+            loop(lines[:line_no])
         return
-    got = bulk(lines)
-    assert got is not None
-    assert same(got, expected)
+    assert same(read(text), expected)
 
 
 def _same_bits(got, expected):
-    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, expected))
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.shape(a) == np.shape(b)
+               for a, b in zip(got, expected, strict=True))
+
+
+def _s2p_arrays(text):
+    raw = cf.parse_s2p(text)
+    return raw.grid.points_hz, np.stack([raw.s11, raw.s21, raw.s12, raw.s22], axis=1), raw.z0_ohm
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), end=st.sampled_from(["", "\n"]))
+def test_parse_s2p_matches_line_loop(data, end):
+    bad_lines = ["# GHZ S RI R 50", "#x", "1 2 3", "0 0 0 0 0 0 0 0 0", "!"]
+    lines = data.draw(_corrupted(data.draw(_s2p_lines()), 1, " ", bad_lines))
+    text = "\n".join(lines) + end
+    _assert_matches_loop(_s2p_arrays, _parse_s2p_lines, text, _same_bits)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_parse_s2p_bulk_matches_line_loop(data):
-    lines = data.draw(_s2p_lines())
-    lines = data.draw(_corrupted(lines, 2, " ", ["# GHZ S RI R 50", "1 2 3", "!"]))
-    _assert_bulk_matches_loop(ts._parse_s2p_bulk, ts._parse_s2p_lines, lines, _same_bits)
-
-
-@settings(max_examples=200, deadline=None)
 @given(data=st.data(), header=st.sampled_from([_MAT_HEADER, _RESP_HEADER]))
-def test_read_csv_bulk_matches_line_loop(data, header):
-    n_cols = header.count(",") + 1
-    lines = data.draw(st.lists(_blank, max_size=2)) + [data.draw(_gap) + header]
-    first_data = len(lines)
-    for _ in range(data.draw(st.integers(0, 8))):
-        fields = data.draw(st.lists(_number_token, min_size=n_cols, max_size=n_cols))
-        lines.append(",".join(data.draw(st.sampled_from(["", " "])) + f for f in fields))
-        lines += data.draw(st.lists(_blank, max_size=1))
-    lines = data.draw(_corrupted(lines, first_data, ",", [header, "1,2", ",,,"]))
-    _assert_bulk_matches_loop(
-        lambda ls: ts._read_csv_bulk(ls, header),
-        lambda ls: ts._read_csv_lines(ls, header, "material"),
-        lines,
-        lambda got, expected: got.tobytes() == expected.tobytes() and got.shape == expected.shape,
-    )
+def test_csv_readers_match_line_loop(data, header):
+    lines = data.draw(_csv_lines(header))
+    first_data = next(i for i, ln in enumerate(lines) if ln.strip()) + 1
+    bad_lines = [header, "1,2", ",,,", "#x", ",".join(["0"] * (header.count(",") + 1))]
+    text = "\n".join(data.draw(_corrupted(lines, first_data, ",", bad_lines))) + "\n"
+    _assert_matches_loop(*_CSV_READERS[header], text, _same_bits)
 
 
 # line numbers count the two header lines: row k of 2000 is on line k + 3
@@ -550,10 +687,9 @@ def test_read_csv_bulk_matches_line_loop(data, header):
     ],
     ids=["8-then-10-tokens", "second-option-line", "bad-token-line-1500"],
 )
-def test_parse_s2p_bulk_declines_and_loop_names_line(replace, line_no, message):
+def test_parse_s2p_names_line_in_long_file(replace, line_no, message):
     rows = [replace.get(k, f"{k + 1} 0.1 0 0.9 0 0.9 0 0.1 0") for k in range(2000)]
     text = "! header\n# GHZ S RI R 50\n" + "\n".join(rows) + "\n"
-    assert ts._parse_s2p_bulk(text.splitlines()) is None
     with pytest.raises(cf.ParseError) as err:
         cf.parse_s2p(text)
     assert str(err.value) == f"line {line_no}: {message}"
@@ -565,7 +701,7 @@ def test_parse_s2p_bulk_declines_and_loop_names_line(replace, line_no, message):
      (cf.response_from_csv, _RESP_HEADER, "%de6,0.1,0,0.9,0,-20,-0.9", 7)],
     ids=["material", "response"],
 )
-def test_csv_bulk_declines_and_loop_names_line(reader, header, row, n_cols):
+def test_csv_readers_name_line_in_long_file(reader, header, row, n_cols):
     kind = "material" if reader is cf.material_from_csv else "response"
     short = row.rsplit(",", 1)[0]
     cases = [
@@ -579,7 +715,6 @@ def test_csv_bulk_declines_and_loop_names_line(reader, header, row, n_cols):
     for replace, line_no, message in cases:
         rows = [replace.get(k, row % (k + 1)) for k in range(2000)]
         text = header + "\n" + "\n".join(rows) + "\n"
-        assert ts._read_csv_bulk(text.splitlines(), header) is None
         with pytest.raises(cf.ParseError) as err:
             reader(text)
         assert str(err.value) == f"line {line_no}: {message}"
