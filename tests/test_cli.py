@@ -129,14 +129,71 @@ def test_outputs_are_deterministic(tmp_path, capsys):
 # ------------------------------------------------------------- error paths
 
 
-def test_model_missing_geometry_field(tmp_path, capsys):
+_DELETE = object()
+
+
+def _design_with(path, value):
+    """The 42 mm design with the field at path replaced, or removed by _DELETE."""
     doc = json.loads(DESIGN.read_text())
-    del doc["geometry"]["length_m"]
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# each document breaks one rule, and stderr is pinned to the exact line naming it
+_MALFORMED_DESIGNS = [
+    (("geometry",), _DELETE, "geometry: missing required section"),
+    (("geometry", "length_m"), _DELETE, "geometry.length_m: missing required field"),
+    (("geometry", "inner_d_m"), "5mm", "geometry.inner_d_m: must be a number, got '5mm'"),
+    (("geometry", "outer_d_m"), True, "geometry.outer_d_m: must be a number, got True"),
+    (("geometry", "outer_d_m"), 0.001,
+     "geometry: need 0 < inner_d_m < outer_d_m, got d=0.0051, D=0.001"),
+    (("geometry", "length_m"), -1, "geometry: length_m must be >= 0, got -1.0"),
+    (("material",), _DELETE, "material: missing required section"),
+    (("material", "samples"), _DELETE,
+     "material.samples: missing (give inline samples or material.path)"),
+    (("material", "samples"), [], "material.samples: must be a non-empty list"),
+    (("material", "samples", 1), 7, "material.samples[1]: must be an object"),
+    (("material", "samples", 0, "eps_rel"), _DELETE,
+     "material.samples[0].eps_rel: missing required field"),
+    (("material", "samples", 1, "f_hz"), "2e10",
+     "material.samples[1].f_hz: must be a number, got '2e10'"),
+    (("material", "samples", 1, "eps_rel"), 0.5,
+     "material.samples[1]: eps_rel must be finite and >= 1, got 0.5"),
+    (("material", "path"), "absent.csv", "material.path: file not found: {dir}/absent.csv"),
+    (("z0_ohm",), "50", "z0_ohm: must be a number, got '50'"),
+    (("z0_ohm",), 0, "z0_ohm: must be > 0, got 0.0"),
+    (("grid", "n_points"), 2.0, "grid.n_points: must be an integer, got 2.0"),
+    (("grid", "spacing"), "log", "grid.spacing: only 'linear' is supported, got 'log'"),
+    (("grid", "f_stop_hz"), None, "grid.f_stop_hz: must be a number, got None"),
+    (("grid", "f_start_hz"), 1e6,
+     "grid: outside the material sample range [1e+07, 2e+10] Hz"),
+    (("targets",), [], "targets: must be an object"),
+    (("targets", "reflection_ceiling_db"), 3, "targets: reflection_ceiling_db must be < 0"),
+    (("targets", "band_max_hz"), "20 GHz",
+     "targets.band_max_hz: must be a number, got '20 GHz'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    _MALFORMED_DESIGNS,
+    ids=[".".join(map(str, p)) + ("-deleted" if v is _DELETE else f"={v!r}")
+         for p, v, _ in _MALFORMED_DESIGNS],
+)
+def test_model_malformed_design_names_field(tmp_path, capsys, path, value, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_design_with(path, value)))
     code, out, err = run(capsys, ["model", str(bad), "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "geometry.length_m" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(dir=tmp_path)}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_model_zero_length_is_all_pass(tmp_path, capsys):
