@@ -2,14 +2,15 @@
 
 Subcommands: model, extract, predict, synth, check, convert. Reports go
 to stdout, diagnostics to stderr, data only to --out paths. Exit codes:
-0 success, 1 internal numeric error, 2 invalid input, 3 extraction
-failure, 4 prediction tolerance exceeded, 5 synthesis unsupported,
-6 compliance failure.
+0 success, 1 internal numeric error, 2 invalid input (an unreadable input
+or unwritable --out path included), 3 extraction failure, 4 prediction
+tolerance exceeded, 5 synthesis unsupported, 6 compliance failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import NP_TO_DB
-from .design import load_design
+from .design import DEFAULT_GRID, load_design
 from .errors import (
     CoaxfiltError,
     DesignError,
@@ -62,6 +63,8 @@ EXIT_PREDICTION = 4
 EXIT_SYNTHESIS = 5
 EXIT_COMPLIANCE = 6
 
+_DEFAULT_GRID_SPEC = "{f_start_hz:g}:{f_stop_hz:g}:{n_points}".format(**DEFAULT_GRID)
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -103,12 +106,16 @@ def _parse_grid_spec(spec: str) -> FrequencyGrid:
     return FrequencyGrid.linear(start, stop, n)
 
 
-def _load_response(path_str: str):
+def _read(path_str: str) -> str:
     path = Path(path_str)
     if not path.is_file():
         raise ValueError(f"no such file: {path_str}")
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
+    return path.read_text()
+
+
+def _load_response(path_str: str):
+    text = _read(path_str)
+    if Path(path_str).suffix.lower() == ".csv":
         return response_from_csv(text), 0.0
     return symmetrize(parse_s2p(text))
 
@@ -128,11 +135,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    path = Path(args.measured)
-    if not path.is_file():
-        raise ValueError(f"no such file: {args.measured}")
-    raw = parse_s2p(path.read_text())
-    resp, asym = symmetrize(raw)
+    resp, asym = symmetrize(parse_s2p(_read(args.measured)))
     geom = _geometry_from_args(args)
     report = extract_material(
         resp, geom, smooth_window=args.smooth_window, asymmetry_max=asym
@@ -149,10 +152,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    mat_path = Path(args.material)
-    if not mat_path.is_file():
-        raise ValueError(f"no such file: {args.material}")
-    material = material_from_csv(mat_path.read_text())
+    material = material_from_csv(_read(args.material))
     geom = _geometry_from_args(args)
 
     if args.compare and args.grid:
@@ -162,7 +162,7 @@ def _cmd_predict(args) -> int:
         grid = measured.grid
     else:
         measured = None
-        grid = _parse_grid_spec(args.grid) if args.grid else FrequencyGrid.linear(1e7, 2e10, 2001)
+        grid = _parse_grid_spec(args.grid or _DEFAULT_GRID_SPEC)
     if not material.covers(grid.points_hz):
         raise FrequencyRangeError(
             f"prediction grid outside material range "
@@ -197,10 +197,7 @@ def _cmd_predict(args) -> int:
 def _cmd_synth(args) -> int:
     if args.target_z is None and args.slope_db_per_ghz is None:
         raise ValueError("give --target-z and/or --slope-db-per-ghz")
-    mat_path = Path(args.material)
-    if not mat_path.is_file():
-        raise ValueError(f"no such file: {args.material}")
-    material = material_from_csv(mat_path.read_text())
+    material = material_from_csv(_read(args.material))
     f_ref = args.f_ref if args.f_ref is not None else material.f_min_hz
     if not material.covers(f_ref):
         raise FrequencyRangeError(
@@ -226,10 +223,7 @@ def _cmd_synth(args) -> int:
 def _cmd_check(args) -> int:
     resp, asym = _load_response(args.response)
     targets = ComplianceTargets(
-        reflection_ceiling_db=args.reflection_ceiling_db,
-        band_max_hz=args.band_max_hz,
-        slope_target_db_per_ghz=args.slope_target_db_per_ghz,
-        slope_tolerance_rel=args.slope_tol_rel,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(ComplianceTargets)}
     )
     report = check_compliance(resp, targets)
     print(f"reflection: {'PASS' if report.reflection_pass else 'FAIL'}")
@@ -251,10 +245,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    path = Path(args.input)
-    if not path.is_file():
-        raise ValueError(f"no such file: {args.input}")
-    raw = parse_s2p(path.read_text())
+    raw = parse_s2p(_read(args.input))
     Path(args.output).write_text(write_s2p(raw, unit=args.unit, fmt=args.to))
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -280,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict another length from a material CSV")
     p.add_argument("material", help="material CSV path")
     _add_geometry_flags(p)
-    p.add_argument("--grid", help="grid spec START_HZ:STOP_HZ:N_POINTS (default 1e7:2e10:2001)")
+    p.add_argument("--grid", help=f"grid spec START_HZ:STOP_HZ:N_POINTS (default {_DEFAULT_GRID_SPEC})")
     p.add_argument("--z0", type=float, default=50.0, help="reference impedance, Ohm")
     p.add_argument("--out", required=True, help="output path (.csv or .s2p)")
     p.add_argument("--compare", help="measured .s2p/.csv to compare against (uses its grid)")
@@ -294,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="grade a response against compliance targets")
     p.add_argument("response", help="response path (.s2p or .csv)")
-    p.add_argument("--reflection-ceiling-db", type=float, default=-20.0)
-    p.add_argument("--band-max-hz", type=float, default=2e10)
-    p.add_argument("--slope-target-db-per-ghz", type=float, default=1.0)
-    p.add_argument("--slope-tol-rel", type=float, default=0.1)
+    # one flag per ComplianceTargets field, named after it ("tolerance" shortened to "tol")
+    for f in dataclasses.fields(ComplianceTargets):
+        flag = "--" + f.name.replace("_", "-").replace("tolerance", "tol")
+        p.add_argument(flag, dest=f.name, type=float, default=f.default)
 
     p = sub.add_parser("convert", help="convert a .s2p between formats and units")
     p.add_argument("input", help="input .s2p path")
@@ -319,7 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"_cmd_{args.command}"]
     try:
         return command(args)
-    except (ParseError, DesignError, FrequencyRangeError, InsufficientDataError, ValueError) as err:
+    except (
+        ParseError, DesignError, FrequencyRangeError, InsufficientDataError, ValueError, OSError
+    ) as err:
         return _fail(EXIT_INPUT, str(err))
     except ExtractionError as err:
         code = _fail(EXIT_EXTRACTION, str(err))

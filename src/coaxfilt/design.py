@@ -9,13 +9,14 @@ Validation errors name the offending field by its dotted path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import DesignError, RowError
 from .synthesis import ComplianceTargets
 from .touchstone import material_from_csv
-from .txline import CoaxGeometry, FrequencyGrid, MaterialModel
+from .txline import CoaxGeometry, FrequencyGrid, MaterialModel, MaterialSample
 
 DEFAULT_GRID = {"f_start_hz": 1e7, "f_stop_hz": 2e10, "n_points": 2001, "spacing": "linear"}
 
@@ -39,27 +40,26 @@ def _section(doc: dict, key: str, required: bool) -> dict | None:
     return doc[key]
 
 
-def _number(section: dict, path: str, key: str, default=None) -> float:
+def _number(section: dict, prefix: str, key: str, default=MISSING) -> float:
     if key not in section:
-        if default is None:
-            raise DesignError(f"{path}.{key}: missing required field")
+        if default is MISSING:
+            raise DesignError(f"{prefix}{key}: missing required field")
         return default
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DesignError(f"{path}.{key}: must be a number, got {v!r}")
+        raise DesignError(f"{prefix}{key}: must be a number, got {v!r}")
     return float(v)
 
 
-def _load_geometry(doc: dict) -> CoaxGeometry:
-    g = _section(doc, "geometry", required=True)
+def _build(cls, doc: dict, key: str, required: bool):
+    """cls from section doc[key]: one number per dataclass field, defaulting as cls does."""
+    section = _section(doc, key, required)
+    if section is None:
+        return cls()
     try:
-        return CoaxGeometry(
-            length_m=_number(g, "geometry", "length_m"),
-            inner_d_m=_number(g, "geometry", "inner_d_m"),
-            outer_d_m=_number(g, "geometry", "outer_d_m"),
-        )
+        return cls(**{f.name: _number(section, f"{key}.", f.name, f.default) for f in fields(cls)})
     except ValueError as err:
-        raise DesignError(f"geometry: {err}")
+        raise DesignError(f"{key}: {err}")
 
 
 def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
@@ -74,15 +74,14 @@ def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
     raw = m["samples"]
     if not isinstance(raw, list) or not raw:
         raise DesignError("material.samples: must be a non-empty list")
-    columns: list[list[float]] = [[], [], [], []]
+    rows = []
     for i, row in enumerate(raw):
         path = f"material.samples[{i}]"
         if not isinstance(row, dict):
             raise DesignError(f"{path}: must be an object")
-        for column, key in zip(columns, ("f_hz", "eps_rel", "mu_rel", "alpha_np_per_m")):
-            column.append(_number(row, path, key))
+        rows.append([_number(row, f"{path}.", key) for key in MaterialSample._fields])
     try:
-        return MaterialModel.from_arrays(*columns)
+        return MaterialModel(*zip(*rows))
     except RowError as err:
         raise DesignError(f"material.samples[{err.row}]: {err.reason}")
 
@@ -97,34 +96,12 @@ def _load_grid(doc: dict) -> FrequencyGrid:
         raise DesignError(f"grid.n_points: must be an integer, got {n!r}")
     try:
         return FrequencyGrid.linear(
-            _number(g, "grid", "f_start_hz", DEFAULT_GRID["f_start_hz"]),
-            _number(g, "grid", "f_stop_hz", DEFAULT_GRID["f_stop_hz"]),
+            _number(g, "grid.", "f_start_hz", DEFAULT_GRID["f_start_hz"]),
+            _number(g, "grid.", "f_stop_hz", DEFAULT_GRID["f_stop_hz"]),
             n,
         )
     except ValueError as err:
         raise DesignError(f"grid: {err}")
-
-
-def _load_targets(doc: dict) -> ComplianceTargets:
-    t = _section(doc, "targets", required=False)
-    if t is None:
-        return ComplianceTargets()
-    defaults = ComplianceTargets()
-    try:
-        return ComplianceTargets(
-            reflection_ceiling_db=_number(
-                t, "targets", "reflection_ceiling_db", defaults.reflection_ceiling_db
-            ),
-            band_max_hz=_number(t, "targets", "band_max_hz", defaults.band_max_hz),
-            slope_target_db_per_ghz=_number(
-                t, "targets", "slope_target_db_per_ghz", defaults.slope_target_db_per_ghz
-            ),
-            slope_tolerance_rel=_number(
-                t, "targets", "slope_tolerance_rel", defaults.slope_tolerance_rel
-            ),
-        )
-    except ValueError as err:
-        raise DesignError(f"targets: {err}")
 
 
 def load_design(path: str | Path) -> Design:
@@ -138,12 +115,9 @@ def load_design(path: str | Path) -> Design:
     if not isinstance(doc, dict):
         raise DesignError("design file must hold a JSON object")
 
-    z0 = 50.0
-    if "z0_ohm" in doc:
-        v = doc["z0_ohm"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise DesignError(f"z0_ohm: must be a number, got {v!r}")
-        z0 = float(v)
+    z0 = _number(doc, "", "z0_ohm", 50.0)
+    if not math.isfinite(z0):
+        raise DesignError(f"z0_ohm: must be finite, got {z0}")
     if z0 <= 0.0:
         raise DesignError(f"z0_ohm: must be > 0, got {z0}")
 
@@ -155,9 +129,9 @@ def load_design(path: str | Path) -> Design:
             f"[{material.f_min_hz:g}, {material.f_max_hz:g}] Hz"
         )
     return Design(
-        geometry=_load_geometry(doc),
+        geometry=_build(CoaxGeometry, doc, "geometry", required=True),
         material=material,
         z0_ohm=z0,
         grid=grid,
-        targets=_load_targets(doc),
+        targets=_build(ComplianceTargets, doc, "targets", required=False),
     )

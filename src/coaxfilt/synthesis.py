@@ -10,7 +10,7 @@ import numpy as np
 
 from .constants import ETA0, NP_TO_DB
 from .errors import InsufficientDataError, NoSolutionError, UnsupportedMaterialError
-from .txline import MaterialModel, TwoPortResponse, magnitude_db
+from .txline import MaterialModel, TwoPortResponse, _require_finite_fields, magnitude_db
 
 _AFFINE_RESIDUAL_TOL = 1e-6
 
@@ -21,7 +21,7 @@ class ComplianceTargets:
 
     Defaults are the usual headline numbers for this filter class: at most
     -20 dB reflection up to 20 GHz and a 1 dB/GHz transmission slope held
-    to 10%. Every value is overridable.
+    to 10%. Every value is overridable and must be finite.
     """
 
     reflection_ceiling_db: float = -20.0
@@ -30,12 +30,15 @@ class ComplianceTargets:
     slope_tolerance_rel: float = 0.1
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.reflection_ceiling_db >= 0.0:
             raise ValueError("reflection_ceiling_db must be < 0")
         if self.band_max_hz <= 0.0:
             raise ValueError("band_max_hz must be > 0")
         if self.slope_target_db_per_ghz < 0.0:
             raise ValueError("slope_target_db_per_ghz must be >= 0")
+        if self.slope_tolerance_rel < 0.0:
+            raise ValueError("slope_tolerance_rel must be >= 0")
 
 
 @dataclass(frozen=True)

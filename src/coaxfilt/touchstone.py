@@ -1,8 +1,8 @@
 """Touchstone v1 (.s2p) reading/writing plus the toolkit's CSV formats.
 
 Only two-port S-parameter files are handled: `!` starts a comment, one
-`#` option line gives unit / parameter / format / reference impedance,
-and each data row holds 9 numbers (f, then S11 S21 S12 S22 pairs).
+`#` option line gives unit / parameter / format / reference impedance
+(each at most once), and each data row holds 9 numbers (f, then S11 S21 S12 S22 pairs).
 Angles are degrees in files and radians internally. All parse errors
 carry a 1-based line number, and non-finite numbers are refused on read
 and on write.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParseError, RowError
 from .txline import DB_FLOOR, FrequencyGrid, MaterialModel, TwoPortResponse, magnitude_db
-from .txline import _not_increasing, _refuse_bad_rows
+from .txline import _not_increasing, _refuse_bad_rows, _require_z0
 
 UNIT_TO_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 FORMATS = ("ri", "ma", "db")
@@ -60,8 +60,7 @@ class RawTwoPort:
             setattr(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} length must equal the grid length")
-        if self.z0_ohm <= 0.0:
-            raise ValueError("z0_ohm must be > 0")
+        _require_z0(self.z0_ohm)
 
 
 def _render(sep: str, columns: list[list[float]]) -> list[str]:
@@ -98,13 +97,19 @@ def _complex_to_pair(fmt: str, s: complex) -> tuple[float, float]:
 
 
 def _parse_option_line(line: str, line_no: int) -> tuple[str, str, float]:
+    """(unit, format, z0) of a "#" line; each option may be given once."""
     unit = "ghz"
     fmt = "ma"
     z0 = 50.0
+    seen = set()
     tokens = line[1:].split()
     i = 0
     while i < len(tokens):
         tok = tokens[i].lower()
+        group = "unit" if tok in UNIT_TO_HZ else "format" if tok in FORMATS else tok
+        if group in seen:
+            raise ParseError(line_no, f"duplicate option token {tokens[i]!r}")
+        seen.add(group)
         if tok in UNIT_TO_HZ:
             unit = tok
         elif tok in FORMATS:

@@ -10,6 +10,7 @@ and an independent ABCD-matrix path used as a numerical oracle.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,15 +52,29 @@ def _refuse_bad_rows(checks: list[tuple[np.ndarray, np.ndarray | dict, str]]) ->
         raise RowError(row, message.format(value))
 
 
+def _require_finite_fields(obj) -> None:
+    """Raise ValueError naming the first field of dataclass obj that is not finite."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
+def _require_z0(z0_ohm: float) -> None:
+    if not 0.0 < z0_ohm < math.inf:
+        raise ValueError(f"z0_ohm must be finite and > 0, got {z0_ohm}")
+
+
 @dataclass(frozen=True)
 class CoaxGeometry:
-    """Physical dimensions of one filter, all in meters."""
+    """Physical dimensions of one filter, all finite and in meters."""
 
     length_m: float
     inner_d_m: float
     outer_d_m: float
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if not 0.0 < self.inner_d_m < self.outer_d_m:
             raise ValueError(
                 f"need 0 < inner_d_m < outer_d_m, got d={self.inner_d_m}, D={self.outer_d_m}"
@@ -127,7 +142,7 @@ class MaterialModel:
     def __init__(self, f_hz, eps_rel, mu_rel, alpha_np_per_m):
         """Validate the columns as arrays and store them read-only.
 
-        Each row needs f finite and above the previous row's f, 1 <= eps < inf,
+        Each row needs f finite, > 0 and above the previous row's f, 1 <= eps < inf,
         0 < mu < inf and 0 <= alpha < inf; the first row that breaks a rule
         raises RowError with its 0-based index.
         """
@@ -139,7 +154,7 @@ class MaterialModel:
             raise ValueError("material model needs at least one sample")
         _refuse_bad_rows(
             [
-                (~np.isfinite(f), f, "f_hz must be finite, got {}"),
+                (~np.isfinite(f) | (f <= 0.0), f, "f_hz must be finite and > 0, got {}"),
                 (_not_increasing(f), f, "material samples must be on a strictly increasing grid"),
                 (~np.isfinite(eps) | (eps < 1.0), eps, "eps_rel must be finite and >= 1, got {}"),
                 (~np.isfinite(mu) | (mu <= 0.0), mu, "mu_rel must be finite and > 0, got {}"),
@@ -228,8 +243,7 @@ class TwoPortResponse:
         n = len(self.grid)
         if self.s11.shape != (n,) or self.s21.shape != (n,):
             raise ValueError("s11/s21 lengths must equal the grid length")
-        if self.z0_ohm <= 0.0:
-            raise ValueError("z0_ohm must be > 0")
+        _require_z0(self.z0_ohm)
 
 
 def propagation_constant(mat: MaterialModel, f_hz):
@@ -268,6 +282,7 @@ def s_params_model(
     exponentials, so large alpha*l cannot overflow. l = 0 reduces exactly
     to the identity two-port (S21 = 1, S11 = 0).
     """
+    _require_z0(z0_ohm)
     f = grid.points_hz
     gamma = np.atleast_1d(propagation_constant(mat, f))
     z = np.atleast_1d(characteristic_impedance(geom, mat, f))
@@ -307,8 +322,7 @@ def abcd_of_line(geom: CoaxGeometry, mat: MaterialModel, f_hz: float) -> np.ndar
 
 def abcd_to_s(abcd: np.ndarray, z0_ohm: float) -> tuple[complex, complex]:
     """(S11, S21) of a chain matrix referenced to z0_ohm."""
-    if z0_ohm <= 0.0:
-        raise ValueError("z0_ohm must be > 0")
+    _require_z0(z0_ohm)
     a, b = abcd[0, 0], abcd[0, 1]
     c, d = abcd[1, 0], abcd[1, 1]
     den = a + b / z0_ohm + c * z0_ohm + d

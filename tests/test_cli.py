@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -180,12 +181,29 @@ _MALFORMED_DESIGNS = [
      "targets.band_max_hz: must be a number, got '20 GHz'"),
 ]
 
+# non-finite numbers (Python's JSON reader accepts NaN and Infinity) and f <= 0 samples,
+# refused by the value types and named by the loader
+_REFUSED_VALUES = [
+    (("geometry", "length_m"), math.inf, "geometry: length_m must be finite, got inf"),
+    (("geometry", "length_m"), math.nan, "geometry: length_m must be finite, got nan"),
+    (("geometry", "outer_d_m"), math.inf, "geometry: outer_d_m must be finite, got inf"),
+    (("material", "samples", 0, "f_hz"), 0,
+     "material.samples[0]: f_hz must be finite and > 0, got 0.0"),
+    (("material", "samples", 0, "f_hz"), -1e9,
+     "material.samples[0]: f_hz must be finite and > 0, got -1000000000.0"),
+    (("z0_ohm",), math.nan, "z0_ohm: must be finite, got nan"),
+    (("z0_ohm",), math.inf, "z0_ohm: must be finite, got inf"),
+    (("targets", "reflection_ceiling_db"), math.nan,
+     "targets: reflection_ceiling_db must be finite, got nan"),
+    (("targets", "slope_tolerance_rel"), -0.1, "targets: slope_tolerance_rel must be >= 0"),
+]
+
 
 @pytest.mark.parametrize(
     "path, value, message",
-    _MALFORMED_DESIGNS,
+    _MALFORMED_DESIGNS + _REFUSED_VALUES,
     ids=[".".join(map(str, p)) + ("-deleted" if v is _DELETE else f"={v!r}")
-         for p, v, _ in _MALFORMED_DESIGNS],
+         for p, v, _ in _MALFORMED_DESIGNS + _REFUSED_VALUES],
 )
 def test_model_malformed_design_names_field(tmp_path, capsys, path, value, message):
     bad = tmp_path / "bad.json"
@@ -194,6 +212,47 @@ def test_model_malformed_design_names_field(tmp_path, capsys, path, value, messa
     assert (code, out) == (2, "")
     assert err == f"error: {message.format(dir=tmp_path)}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+_PREDICT = ["predict", str(MAT_REF), "--inner-d", "0.0051", "--outer-d", "0.008",
+            "--grid", "1e9:2e10:3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_PREDICT + ["--length", "inf"], "length_m must be finite, got inf"),
+        (_PREDICT + ["--length", "0.036", "--z0", "nan"], "z0_ohm must be finite and > 0, got nan"),
+        (["check", str(GOLDEN / "model_42mm.csv"), "--reflection-ceiling-db", "nan"],
+         "reflection_ceiling_db must be finite, got nan"),
+        (["check", str(GOLDEN / "model_42mm.csv"), "--slope-tol-rel", "-1"],
+         "slope_tolerance_rel must be >= 0"),
+    ],
+    ids=["predict-length-inf", "predict-z0-nan", "check-ceiling-nan", "check-tol-negative"],
+)
+def test_out_of_range_flag_names_field(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "p.csv"
+    extra = ["--out", str(out_path)] if argv[0] == "predict" else []
+    assert run(capsys, argv + extra) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", str(DESIGN), "--out", "{dir}/x.csv"],
+        ["extract", str(MEAS42), "--length", "0.042", "--inner-d", str(G42["inner_d_m"]),
+         "--outer-d", str(G42["outer_d_m"]), "--out", "{dir}/x.csv"],
+        ["convert", str(GOLDEN / "model_42mm.s2p"), "{dir}/x.s2p"],
+    ],
+    ids=["model", "extract", "convert"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    argv = [a.format(dir=missing) for a in argv]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
 
 
 def test_model_zero_length_is_all_pass(tmp_path, capsys):
@@ -259,6 +318,18 @@ def test_predict_grid_outside_material(tmp_path, capsys):
     )
     assert code == 2
     assert "material range" in err
+
+
+def test_predict_default_grid_is_the_design_default(tmp_path, capsys):
+    out_path = tmp_path / "p.csv"
+    code, _, _ = run(
+        capsys,
+        ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
+         "--outer-d", "0.008", "--out", str(out_path)],
+    )
+    assert code == 0
+    grid = cf.response_from_csv(out_path.read_text()).grid.points_hz
+    assert grid.tolist() == cf.FrequencyGrid.linear(1e7, 2e10, 2001).points_hz.tolist()
 
 
 def test_predict_compare_within_tolerance(tmp_path, capsys):

@@ -81,6 +81,14 @@ def test_compliance_targets_invariants():
         cf.ComplianceTargets(band_max_hz=0.0)
     with pytest.raises(ValueError):
         cf.ComplianceTargets(slope_target_db_per_ghz=-1.0)
+    with pytest.raises(ValueError, match="slope_tolerance_rel must be >= 0"):
+        cf.ComplianceTargets(slope_tolerance_rel=-1.0)
+    # NaN slips through every ordered comparison, so each field is refused by name
+    for name in ("reflection_ceiling_db", "band_max_hz", "slope_target_db_per_ghz",
+                 "slope_tolerance_rel"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                cf.ComplianceTargets(**{name: bad})
 
 
 def test_check_compliance_matched_design_passes():

@@ -87,6 +87,11 @@ def test_parse_empty_data_ok():
         ("# GHZ S RI R\n", 1, "missing its impedance"),
         ("# GHZ S RI R fifty\n", 1, "unparseable reference impedance"),
         ("# QHZ S RI R 50\n", 1, "unrecognized"),
+        # Touchstone v1.1 allows each option once; a later token may not override
+        ("# GHZ S RI R 50 MHZ MA R 75\n", 1, "duplicate option token 'MHZ'"),
+        ("# GHZ S RI R 50 ma\n", 1, "duplicate option token 'ma'"),
+        ("! c\n# S GHZ s\n", 2, "duplicate option token 's'"),
+        ("# R 50 GHZ R 75\n", 1, "duplicate option token 'R'"),
         ("# GHZ S RI R 50\n1.0 0.1 0 0.9 0\n", 2, "expected 9"),
         ("# GHZ S RI R 50\n1.0 0.1 0 0.9 0 0.9 0 0.1 0 7\n", 2, "expected 9"),
         ("# GHZ S RI R 50\n1.0 0.1 zero 0.9 0 0.9 0 0.1 0\n", 2, "unparseable number"),
@@ -406,6 +411,10 @@ def test_material_csv_round_trip():
         (cf.material_from_csv, f"{_MAT_HEADER}\n1e9,4,1,0\n\n1e9,4,1,0\n2e9,4,1,0\n", 4,
          "material samples must be on a strictly increasing grid"),
         (cf.material_from_csv, f"{_MAT_HEADER}\n", 1, "material model needs at least one sample"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n-1e9,4,1,0\n", 2,
+         "f_hz must be finite and > 0, got -1000000000.0"),
+        (cf.material_from_csv, f"{_MAT_HEADER}\n0,4,1,0\n1e9,4,1,0\n", 2,
+         "f_hz must be finite and > 0, got 0.0"),
         (cf.response_from_csv,
          f"{_RESP_HEADER}\n2e9,0,0,1,0,-300,0\n1e9,0,0,1,0,-300,0\n3e9,0,0,1,0,-300,0\n", 3,
          "grid frequencies must be strictly increasing"),

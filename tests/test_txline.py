@@ -39,6 +39,13 @@ def test_geometry_invariants():
     with pytest.raises(ValueError):
         cf.CoaxGeometry(-1.0, 0.0051, 0.008)
     assert cf.CoaxGeometry(0.0, 1.0, 2.0).length_m == 0.0
+    # NaN slips through every ordered comparison, so each field is refused by name
+    for bad in (math.nan, math.inf):
+        for i, name in enumerate(("length_m", "inner_d_m", "outer_d_m")):
+            fields = [0.042, 0.0051, 0.008]
+            fields[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                cf.CoaxGeometry(*fields)
 
 
 def test_grid_invariants():
@@ -65,6 +72,9 @@ def test_material_sample_invariants():
     good = (1e9, 4.0, 1.0, 0.0)
     for fields in ((2e9, 0.5, 1.0, 0.0), (2e9, 1.0, 0.0, 0.0), (2e9, 1.0, 1.0, -1.0)):
         assert _bad_row(good, fields).row == 1
+    for f in (0.0, -1e9):
+        err = _bad_row((f, 4.0, 1.0, 0.0), good)
+        assert err.row == 0 and err.reason == f"f_hz must be finite and > 0, got {f}"
     # NaN slips through every ordered comparison, so it is refused by name
     for bad in (math.nan, math.inf, -math.inf):
         for fields in ((bad, 4.0, 1.0, 0.0), (3e9, bad, 1.0, 0.0),
@@ -350,6 +360,12 @@ def test_two_port_response_invariants():
         cf.TwoPortResponse(grid=grid, s11=np.zeros(2), s21=np.zeros(3))
     with pytest.raises(ValueError):
         cf.TwoPortResponse(grid=grid, s11=np.zeros(3), s21=np.zeros(3), z0_ohm=0.0)
-    for z0 in (0.0, -5.0):  # the Touchstone writer would emit an "R -5" that its parser refuses
-        with pytest.raises(ValueError, match="z0_ohm"):
+    # the Touchstone writer would emit an "R -5" or "R inf" that its parser refuses
+    for z0 in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="z0_ohm must be finite and > 0"):
             cf.RawTwoPort(grid, *[np.zeros(3)] * 4, z0_ohm=z0)
+        with pytest.raises(ValueError, match="z0_ohm must be finite and > 0"):
+            cf.TwoPortResponse(grid=grid, s11=np.zeros(3), s21=np.zeros(3), z0_ohm=z0)
+        # refused before the model runs, so no NaN reaches the arithmetic
+        with pytest.raises(ValueError, match="z0_ohm must be finite and > 0"):
+            cf.s_params_model(cf.CoaxGeometry(0.042, 0.0051, 0.008), affine_material(), grid, z0)
