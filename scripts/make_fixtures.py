@@ -27,27 +27,14 @@ import numpy as np
 
 import coaxfilt as cf
 from coaxfilt.cli import main as cli_main
+from reference_filter import matched_geometry, reference_material
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
 
-INNER_D = 0.0051
 LENGTH_42 = 0.042
 LENGTH_36 = 0.036
-SLOPE_DB_PER_GHZ = 1.0
-
-
-def reference_material() -> cf.MaterialModel:
-    a1 = SLOPE_DB_PER_GHZ / (cf.NP_TO_DB * 1e9 * LENGTH_42)
-    return cf.MaterialModel.from_arrays(
-        [1e7, 2e10], [4.2, 4.2], [1.0, 1.0], [a1 * 1e7, a1 * 2e10]
-    )
-
-
-def matched_geometry(length_m: float, mat: cf.MaterialModel) -> cf.CoaxGeometry:
-    ratio = cf.solve_diameter_ratio(50.0, mat, 1e9)
-    return cf.CoaxGeometry(length_m, INNER_D, INNER_D * ratio)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -62,12 +49,12 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
     fixtures.mkdir(parents=True, exist_ok=True)
     golden_dir.mkdir(parents=True, exist_ok=True)
 
-    mat = reference_material()
+    mat = reference_material(1.0, LENGTH_42)
     g42 = matched_geometry(LENGTH_42, mat)
     g36 = matched_geometry(LENGTH_36, mat)
 
     # --- fixtures -----------------------------------------------------
-    fields = cf.touchstone.MATERIAL_CSV_HEADER.split(",")  # the MaterialModel.table columns
+    fields = cf.MaterialSample._fields  # the MaterialModel.table columns
     design = {
         "geometry": {
             "length_m": LENGTH_42,

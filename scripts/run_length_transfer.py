@@ -17,15 +17,7 @@ import math
 import numpy as np
 
 import coaxfilt as cf
-
-
-def build_reference(slope_db_per_ghz: float, cal_length: float):
-    a1 = slope_db_per_ghz / (cf.NP_TO_DB * 1e9 * cal_length)
-    mat = cf.MaterialModel.from_arrays(
-        [1e7, 2e10], [4.2, 4.2], [1.0, 1.0], [a1 * 1e7, a1 * 2e10]
-    )
-    ratio = cf.solve_diameter_ratio(50.0, mat, 1e9)
-    return mat, ratio
+from reference_filter import matched_geometry, reference_material
 
 
 def main() -> int:
@@ -39,10 +31,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    mat, ratio = build_reference(args.slope, args.cal_length)
-    inner = 0.0051
-    g_cal = cf.CoaxGeometry(args.cal_length, inner, inner * ratio)
-    g_new = cf.CoaxGeometry(args.new_length, inner, inner * ratio)
+    mat = reference_material(args.slope, args.cal_length)
+    g_cal = matched_geometry(args.cal_length, mat)
+    g_new = matched_geometry(args.new_length, mat)
     f = np.linspace(1e7, 2e10, args.n_points)
     grid = cf.FrequencyGrid(f)
 
@@ -66,9 +57,7 @@ def main() -> int:
         measured, asym = cf.symmetrize(raw)
         print(f"noise sigma = {args.noise:g}, asymmetry_max = {asym:.4g}")
 
-    report = cf.extract_material(
-        measured, g_cal, smooth_window=args.smooth_window, asymmetry_max=0.0
-    )
+    report = cf.extract_material(measured, g_cal, smooth_window=args.smooth_window)
     m = report.material
     print(f"extraction: {len(m)} samples, {len(report.flags)} flagged")
 

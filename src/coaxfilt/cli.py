@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -137,9 +138,7 @@ def _cmd_model(args) -> int:
 def _cmd_extract(args) -> int:
     resp, asym = symmetrize(parse_s2p(_read(args.measured)))
     geom = _geometry_from_args(args)
-    report = extract_material(
-        resp, geom, smooth_window=args.smooth_window, asymmetry_max=asym
-    )
+    report = extract_material(resp, geom, smooth_window=args.smooth_window)
     Path(args.out).write_text(material_to_csv(report.material))
     n = len(resp.grid)
     print(f"asymmetry_max: {asym:.6g}")
@@ -152,6 +151,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     material = material_from_csv(_read(args.material))
     geom = _geometry_from_args(args)
 
@@ -163,11 +164,6 @@ def _cmd_predict(args) -> int:
     else:
         measured = None
         grid = _parse_grid_spec(args.grid or _DEFAULT_GRID_SPEC)
-    if not material.covers(grid.points_hz):
-        raise FrequencyRangeError(
-            f"prediction grid outside material range "
-            f"[{material.f_min_hz:g}, {material.f_max_hz:g}] Hz"
-        )
 
     resp = s_params_model(geom, material, grid, z0_ohm=args.z0)
     _write_response(resp, args.out)

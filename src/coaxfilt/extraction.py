@@ -60,7 +60,6 @@ class ExtractionReport:
     branch_index: np.ndarray
     reason: np.ndarray
     material: MaterialModel
-    asymmetry_max: float
 
     @cached_property
     def flags(self) -> dict[int, str]:
@@ -253,15 +252,14 @@ def moving_median(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def extract_material(
-    measured: TwoPortResponse, geom: CoaxGeometry, smooth_window: int = 1,
-    asymmetry_max: float = 0.0,
+    measured: TwoPortResponse, geom: CoaxGeometry, smooth_window: int = 1
 ) -> ExtractionReport:
     """Invert a measured symmetric response into a MaterialModel.
 
     One array pass per stage: invert_points on every (S11, S21) pair,
     unwrap_gamma over the usable points (retried without the right-hand
     point of each ambiguous step), impedance_from_reflection on all but
-    open-circuit points, material_from_points on those with Re(gamma) >= 0.
+    open-circuit points, material_from_points on the rest.
     Points that fail a stage are flagged and left out of the material
     table; more than 50% flagged raises ExtractionError. smooth_window
     (odd, 1 = off) applies a moving median to the eps, mu and alpha columns.
@@ -296,24 +294,20 @@ def extract_material(
     reason[rows[is_open]] = _CODE["open-circuit"]
     rows, gamma, branch = rows[~is_open], gamma[~is_open], branch[~is_open]
     z = impedance_from_reflection(gamma_refl[rows], measured.z0_ohm)
-    negative = gamma.real < 0.0
-    reason[rows[negative]] = _CODE["negative-alpha"]
-
-    kept = rows[~negative]  # candidates for the material table
-    eps, mu, alpha, unphysical = material_from_points(
-        gamma[~negative], z.real[~negative], geom, f[kept]
-    )
-    reason[kept[unphysical]] = _CODE["unphysical-material"]
-    good = ~unphysical
+    eps, mu, alpha, unphysical = material_from_points(gamma, z.real, geom, f[rows])
+    # negative-alpha is written last, so it wins where both apply
+    reason[rows[unphysical]] = _CODE["unphysical-material"]
+    reason[rows[alpha < 0.0]] = _CODE["negative-alpha"]
+    good = reason[rows] == 0
     refuse_if_unusable(good.any())
 
     # An odd-window median always returns one of the input values, so the
     # smoothed columns cannot leave the valid material domain.
-    material = MaterialModel.from_arrays(
-        f[kept[good]], *(moving_median(c[good], smooth_window) for c in (eps, mu, alpha))
+    material = MaterialModel(
+        f[rows[good]], *(moving_median(c[good], smooth_window) for c in (eps, mu, alpha))
     )
     return ExtractionReport(f[rows], gamma_refl[rows], prop_factor[rows], gamma, z, branch,
-                            reason, material, asymmetry_max)
+                            reason, material)
 
 
 def _flag_map(reason: np.ndarray) -> dict[int, str]:

@@ -60,12 +60,20 @@ def solve_diameter_ratio(target_z_ohm: float, mat: MaterialModel, f_ref_hz: floa
     """D/d giving the target characteristic impedance at f_ref.
 
     Inverse of the coaxial impedance formula:
-    D/d = exp(2*pi*Z / (eta0 * sqrt(mu/eps))).
+    D/d = exp(2*pi*Z / (eta0 * sqrt(mu/eps))). Raises NoSolutionError
+    when that D/d is not in (1, inf), as for a target so small that D/d
+    rounds to 1 or so large that it overflows.
     """
-    if target_z_ohm <= 0.0:
-        raise ValueError("target_z_ohm must be > 0")
+    if not 0.0 < target_z_ohm < math.inf:
+        raise ValueError(f"target_z_ohm must be finite and > 0, got {target_z_ohm}")
     eps, mu, _ = mat.eval(f_ref_hz)
-    return math.exp(2.0 * math.pi * target_z_ohm / (ETA0 * math.sqrt(mu / eps)))
+    try:
+        ratio = math.exp(2.0 * math.pi * target_z_ohm / (ETA0 * math.sqrt(mu / eps)))
+    except OverflowError:
+        ratio = math.inf
+    if not 1.0 < ratio < math.inf:
+        raise NoSolutionError(f"no finite D/d > 1 gives {target_z_ohm:g} Ohm (D/d = {ratio:g})")
+    return ratio
 
 
 def alpha_affine_fit(mat: MaterialModel) -> tuple[float, float, float]:
@@ -91,8 +99,10 @@ def solve_length_for_slope(target_slope_db_per_ghz: float, mat: MaterialModel) -
     A matched line has |S21|_dB(f) = -NP_TO_DB * alpha(f) * l, so an
     affine alpha = a0 + a1*f yields slope NP_TO_DB * a1 * l per Hz.
     """
-    if target_slope_db_per_ghz <= 0.0:
-        raise ValueError("target_slope_db_per_ghz must be > 0")
+    if not 0.0 < target_slope_db_per_ghz < math.inf:
+        raise ValueError(
+            f"target_slope_db_per_ghz must be finite and > 0, got {target_slope_db_per_ghz}"
+        )
     _, a1, rel = alpha_affine_fit(mat)
     if rel >= _AFFINE_RESIDUAL_TOL:
         raise UnsupportedMaterialError(
@@ -104,7 +114,10 @@ def solve_length_for_slope(target_slope_db_per_ghz: float, mat: MaterialModel) -
     scale = float(np.max(mat.table[3]))
     if a1 <= 0.0 or a1 * span <= 1e-12 * scale:
         raise NoSolutionError("alpha slope is not positive; no length gives the target")
-    return target_slope_db_per_ghz / (NP_TO_DB * a1 * 1e9)
+    length = target_slope_db_per_ghz / (NP_TO_DB * a1 * 1e9)
+    if length == math.inf:
+        raise NoSolutionError(f"no finite length gives {target_slope_db_per_ghz:g} dB/GHz")
+    return length
 
 
 def check_compliance(
@@ -125,8 +138,8 @@ def check_compliance(
         )
 
     f_in = f[band]
-    s11_db = np.atleast_1d(magnitude_db(resp.s11[band]))
-    s21_db = np.atleast_1d(magnitude_db(resp.s21[band]))
+    s11_db = magnitude_db(resp.s11[band])
+    s21_db = magnitude_db(resp.s21[band])
 
     i_worst = int(np.argmax(s11_db))
     worst_db = float(s11_db[i_worst])

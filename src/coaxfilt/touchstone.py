@@ -32,13 +32,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, RowError
-from .txline import DB_FLOOR, FrequencyGrid, MaterialModel, TwoPortResponse, magnitude_db
-from .txline import _not_increasing, _refuse_bad_rows, _require_z0
+from .txline import DB_FLOOR, FrequencyGrid, MaterialModel, MaterialSample, TwoPortResponse
+from .txline import _init_s_columns, _not_increasing, _refuse_bad_rows, magnitude_db
 
 UNIT_TO_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 FORMATS = ("ri", "ma", "db")
 
-MATERIAL_CSV_HEADER = "f_hz,eps_rel,mu_rel,alpha_np_per_m"
+MATERIAL_CSV_HEADER = ",".join(MaterialSample._fields)
 RESPONSE_CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
 
 
@@ -54,13 +54,7 @@ class RawTwoPort:
     z0_ohm: float = 50.0
 
     def __post_init__(self) -> None:
-        n = len(self.grid)
-        for name in ("s11", "s21", "s12", "s22"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            setattr(self, name, arr)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} length must equal the grid length")
-        _require_z0(self.z0_ohm)
+        _init_s_columns(self, ("s11", "s21", "s12", "s22"))
 
 
 def _render(sep: str, columns: list[list[float]]) -> list[str]:

@@ -65,6 +65,17 @@ def _require_z0(z0_ohm: float) -> None:
         raise ValueError(f"z0_ohm must be finite and > 0, got {z0_ohm}")
 
 
+def _init_s_columns(port, names: tuple[str, ...]) -> None:
+    """Store port's named S columns as complex arrays, one entry per grid point; check z0."""
+    n = len(port.grid)
+    for name in names:
+        column = np.asarray(getattr(port, name), dtype=complex)
+        if column.shape != (n,):
+            raise ValueError(f"{name} length must equal the grid length")
+        setattr(port, name, column)
+    _require_z0(port.z0_ohm)
+
+
 @dataclass(frozen=True)
 class CoaxGeometry:
     """Physical dimensions of one filter, all finite and in meters."""
@@ -81,10 +92,6 @@ class CoaxGeometry:
             )
         if self.length_m < 0.0:
             raise ValueError(f"length_m must be >= 0, got {self.length_m}")
-
-    @property
-    def diameter_ratio(self) -> float:
-        return self.outer_d_m / self.inner_d_m
 
     @property
     def log_diameter_ratio(self) -> float:
@@ -117,9 +124,9 @@ class FrequencyGrid:
     def linear(f_start_hz: float, f_stop_hz: float, n_points: int) -> "FrequencyGrid":
         if n_points < 1:
             raise ValueError("n_points must be >= 1")
-        if n_points == 1:
-            return FrequencyGrid(np.array([f_start_hz]))
-        return FrequencyGrid(np.linspace(f_start_hz, f_stop_hz, n_points))
+        # a non-finite or overflowing end gives non-finite points, which the grid refuses
+        with np.errstate(invalid="ignore", over="ignore"):
+            return FrequencyGrid(np.linspace(f_start_hz, f_stop_hz, n_points))
 
 
 class MaterialSample(NamedTuple):
@@ -211,9 +218,6 @@ class MaterialModel:
         Accepts a scalar or an array; shapes follow numpy broadcasting.
         """
         f = np.asarray(f_hz, dtype=float)
-        if len(self) == 1:
-            one = np.ones_like(f)
-            return self._eps[0] * one, self._mu[0] * one, self._alpha[0] * one
         if not self.covers(f):
             raise FrequencyRangeError(
                 f"frequency outside material range [{self._f[0]:g}, {self._f[-1]:g}] Hz"
@@ -238,31 +242,20 @@ class TwoPortResponse:
     z0_ohm: float = 50.0
 
     def __post_init__(self) -> None:
-        self.s11 = np.asarray(self.s11, dtype=complex)
-        self.s21 = np.asarray(self.s21, dtype=complex)
-        n = len(self.grid)
-        if self.s11.shape != (n,) or self.s21.shape != (n,):
-            raise ValueError("s11/s21 lengths must equal the grid length")
-        _require_z0(self.z0_ohm)
+        _init_s_columns(self, ("s11", "s21"))
 
 
 def propagation_constant(mat: MaterialModel, f_hz):
     """gamma(f) = alpha(f) + i * 2*pi*f * sqrt(eps(f)*mu(f)) / c, in 1/m."""
     eps, mu, alpha = mat.eval(f_hz)
     f = np.asarray(f_hz, dtype=float)
-    gamma = alpha + 1j * (2.0 * np.pi * f) * np.sqrt(eps * mu) / C0
-    if np.isscalar(f_hz):
-        return complex(gamma)
-    return gamma
+    return (alpha + 1j * (2.0 * np.pi * f) * np.sqrt(eps * mu) / C0)[()]
 
 
 def characteristic_impedance(geom: CoaxGeometry, mat: MaterialModel, f_hz):
     """Coaxial characteristic impedance (eta0/2pi)*sqrt(mu/eps)*ln(D/d), Ohm."""
     eps, mu, _ = mat.eval(f_hz)
-    z = ETA0 / (2.0 * np.pi) * np.sqrt(mu / eps) * geom.log_diameter_ratio
-    if np.isscalar(f_hz):
-        return float(z)
-    return z
+    return (ETA0 / (2.0 * np.pi) * np.sqrt(mu / eps) * geom.log_diameter_ratio)[()]
 
 
 def s_params_model(
@@ -284,8 +277,8 @@ def s_params_model(
     """
     _require_z0(z0_ohm)
     f = grid.points_hz
-    gamma = np.atleast_1d(propagation_constant(mat, f))
-    z = np.atleast_1d(characteristic_impedance(geom, mat, f))
+    gamma = propagation_constant(mat, f)
+    z = characteristic_impedance(geom, mat, f)
     r = z / z0_ohm
     rr = r + 1.0 / r
 
@@ -338,6 +331,4 @@ def magnitude_db(s):
     mag = np.abs(np.asarray(s))
     with np.errstate(divide="ignore"):
         db = np.where(mag > 0.0, 20.0 * np.log10(np.where(mag > 0.0, mag, 1.0)), DB_FLOOR)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(db)
-    return db
+    return db[()]

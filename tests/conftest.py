@@ -11,8 +11,7 @@ OUTER_D = 0.008
 def affine_material(eps=(4.0, 4.0), mu=(1.0, 1.0), alpha=(0.0, 60.0),
                     f_start=1e7, f_stop=2e10):
     """Two-sample material, each parameter affine between band edges."""
-    return cf.MaterialModel.from_arrays(
-        [f_start, f_stop], list(eps), list(mu), list(alpha))
+    return cf.MaterialModel([f_start, f_stop], list(eps), list(mu), list(alpha))
 
 
 def matched_material_and_geoms(z0=50.0, slope_db_per_ghz=1.0):

@@ -43,7 +43,7 @@ def _random_flat_z_material(rng):
     eps = rng.uniform(1.0, 10.0, n)
     k = rng.uniform(0.3, 3.0)
     alpha = rng.uniform(0.0, 100.0, n)
-    return cf.MaterialModel.from_arrays(f, eps, k * k * eps, alpha), f
+    return cf.MaterialModel(f, eps, k * k * eps, alpha), f
 
 
 def test_criterion_1_matched_line_identity():
@@ -125,7 +125,7 @@ def test_criterion_4_noiseless_round_trip():
         mu = rng.uniform(0.8, 2.0) + rng.uniform(-0.2, 0.2) * lerp
         mu = np.clip(mu, 0.8, 2.0)
         alpha = rng.uniform(1.0, 5.0) + (80.0 - 5.0) * lerp * rng.uniform(0.5, 1.0)
-        mat = cf.MaterialModel.from_arrays(f, eps, mu, alpha)
+        mat = cf.MaterialModel(f, eps, mu, alpha)
         g42 = cf.CoaxGeometry(0.042, 0.0051, 0.008)
         g36 = cf.CoaxGeometry(0.036, 0.0051, 0.008)
         grid = cf.FrequencyGrid(f)
@@ -175,8 +175,8 @@ def test_criterion_5_noise_monte_carlo():
                 s22=resp42.s11 + noise(),
                 z0_ohm=50.0,
             )
-            sym, asym = cf.symmetrize(raw)
-            report = cf.extract_material(sym, g42, smooth_window=21, asymmetry_max=asym)
+            sym, _ = cf.symmetrize(raw)
+            report = cf.extract_material(sym, g42, smooth_window=21)
             m = report.material
             mask = (f >= m.f_min_hz) & (f <= m.f_max_hz)
             sub = cf.FrequencyGrid(f[mask])
@@ -194,9 +194,7 @@ def test_criterion_5_noise_monte_carlo():
 def test_criterion_6_synthesized_design_compliance():
     with _criterion(6, "synthesized matched design: slope 1 dB/GHz, |S11| < -100 dB"):
         a1 = 2.5e-9  # Np/m per Hz
-        mat = cf.MaterialModel.from_arrays(
-            [1e7, 2e10], [4.2, 4.2], [1.0, 1.0], [a1 * 1e7, a1 * 2e10]
-        )
+        mat = cf.MaterialModel([1e7, 2e10], [4.2, 4.2], [1.0, 1.0], [a1 * 1e7, a1 * 2e10])
         ratio = cf.solve_diameter_ratio(50.0, mat, 1e9)
         length = cf.solve_length_for_slope(1.0, mat)
         geom = cf.CoaxGeometry(length, 0.0051, 0.0051 * ratio)
@@ -331,7 +329,7 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch, capsys):
 
         const_mat = tmp_path / "const.csv"
         const_mat.write_text(cf.material_to_csv(
-            cf.MaterialModel.from_arrays([1e7, 2e10], [4.0, 4.0], [1.0, 1.0], [30.0, 30.0])
+            cf.MaterialModel([1e7, 2e10], [4.0, 4.0], [1.0, 1.0], [30.0, 30.0])
         ))
         assert cli_main(["synth", str(const_mat), "--slope-db-per-ghz", "1"]) == 5
 
@@ -363,7 +361,7 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch, capsys):
 
         # the predicted 36 mm response matches a direct model of 36 mm
         pred = cf.response_from_csv((tmp_path / "pipe36.csv").read_text())
-        mat_true = cf.MaterialModel.from_arrays(
+        mat_true = cf.MaterialModel(
             [s["f_hz"] for s in doc["material"]["samples"]],
             [s["eps_rel"] for s in doc["material"]["samples"]],
             [s["mu_rel"] for s in doc["material"]["samples"]],

@@ -196,6 +196,8 @@ _REFUSED_VALUES = [
     (("targets", "reflection_ceiling_db"), math.nan,
      "targets: reflection_ceiling_db must be finite, got nan"),
     (("targets", "slope_tolerance_rel"), -0.1, "targets: slope_tolerance_rel must be >= 0"),
+    (("grid",), {"f_start_hz": 1e9, "f_stop_hz": math.nan, "n_points": 1},
+     "grid: row 0: grid frequencies must be finite, got nan"),
 ]
 
 
@@ -216,6 +218,9 @@ def test_model_malformed_design_names_field(tmp_path, capsys, path, value, messa
 
 _PREDICT = ["predict", str(MAT_REF), "--inner-d", "0.0051", "--outer-d", "0.008",
             "--grid", "1e9:2e10:3"]
+# the 36 mm prediction deviates 38.95% from the 42 mm measurement
+_COMPARE = ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
+            "--outer-d", "0.028169", "--compare", str(MEAS42)]
 
 
 @pytest.mark.parametrize(
@@ -227,8 +232,24 @@ _PREDICT = ["predict", str(MAT_REF), "--inner-d", "0.0051", "--outer-d", "0.008"
          "reflection_ceiling_db must be finite, got nan"),
         (["check", str(GOLDEN / "model_42mm.csv"), "--slope-tol-rel", "-1"],
          "slope_tolerance_rel must be >= 0"),
+        (["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
+          "--outer-d", "0.008", "--grid", "1e9:nan:1"],
+         "row 0: grid frequencies must be finite, got nan"),
+        (_COMPARE + ["--tol", "nan"], "--tol must be finite and >= 0, got nan"),
+        (_COMPARE + ["--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
+        (_COMPARE + ["--tol", "inf"], "--tol must be finite and >= 0, got inf"),
+        (["synth", str(MAT_REF), "--slope-db-per-ghz", "inf"],
+         "target_slope_db_per_ghz must be finite and > 0, got inf"),
+        (["synth", str(MAT_REF), "--slope-db-per-ghz", "nan"],
+         "target_slope_db_per_ghz must be finite and > 0, got nan"),
+        (["synth", str(MAT_REF), "--target-z", "nan"],
+         "target_z_ohm must be finite and > 0, got nan"),
+        (["synth", str(MAT_REF), "--target-z", "inf"],
+         "target_z_ohm must be finite and > 0, got inf"),
     ],
-    ids=["predict-length-inf", "predict-z0-nan", "check-ceiling-nan", "check-tol-negative"],
+    ids=["predict-length-inf", "predict-z0-nan", "check-ceiling-nan", "check-tol-negative",
+         "predict-grid-nan-stop", "predict-tol-nan", "predict-tol-negative", "predict-tol-inf",
+         "synth-slope-inf", "synth-slope-nan", "synth-target-z-nan", "synth-target-z-inf"],
 )
 def test_out_of_range_flag_names_field(tmp_path, capsys, argv, message):
     out_path = tmp_path / "p.csv"
@@ -316,8 +337,8 @@ def test_predict_grid_outside_material(tmp_path, capsys):
         ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
          "--outer-d", "0.008", "--grid", "1e6:2e10:11", "--out", str(tmp_path / "p.csv")],
     )
-    assert code == 2
-    assert "material range" in err
+    assert (code, err) == (2, "error: frequency outside material range [1e+07, 2e+10] Hz\n")
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_default_grid_is_the_design_default(tmp_path, capsys):
@@ -435,12 +456,25 @@ def test_predict_rejects_grid_plus_compare(tmp_path, capsys):
 
 
 def test_synth_constant_alpha_slope_unsupported(tmp_path, capsys):
-    mat = cf.MaterialModel.from_arrays([1e7, 2e10], [4.0, 4.0], [1.0, 1.0], [30.0, 30.0])
+    mat = cf.MaterialModel([1e7, 2e10], [4.0, 4.0], [1.0, 1.0], [30.0, 30.0])
     path = tmp_path / "const.csv"
     path.write_text(cf.material_to_csv(mat))
     code, _, err = run(capsys, ["synth", str(path), "--slope-db-per-ghz", "1.0"])
     assert code == 5
     assert "slope" in err
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("1e6", "no finite D/d > 1 gives 1e+06 Ohm (D/d = inf)"),
+        ("1e-300", "no finite D/d > 1 gives 1e-300 Ohm (D/d = 1)"),
+    ],
+)
+def test_synth_unreachable_target_z(capsys, target, message):
+    assert run(capsys, ["synth", str(MAT_REF), "--target-z", target]) == (
+        5, "", f"error: {message}\n"
+    )
 
 
 def test_synth_requires_a_target(capsys):
@@ -540,3 +574,15 @@ def test_make_fixtures_reproduces_committed_bytes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "match the committed bytes" in result.stdout
+
+
+def test_run_length_transfer_script_noisy():
+    script = Path(__file__).parent.parent / "scripts" / "run_length_transfer.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--noise", "0.01", "--smooth-window", "21"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "prediction 42 mm -> 36 mm" in result.stdout
+    max_line = next(l for l in result.stdout.splitlines() if "max  relative" in l)
+    assert float(max_line.split(":")[1].rstrip("%")) < 5.0

@@ -466,13 +466,6 @@ def test_extract_material_flag_map_reaches_every_reason():
     assert report.material.table[0].tolist() == resp.grid.points_hz[unflagged].tolist()
 
 
-def test_extract_material_records_asymmetry():
-    mat, g42, _ = matched_material_and_geoms()
-    resp = _synthetic_response(mat, g42, n=21)
-    report = cf.extract_material(resp, g42, asymmetry_max=0.0123)
-    assert report.asymmetry_max == 0.0123
-
-
 def test_extract_material_smoothing_reduces_noise():
     rng = np.random.default_rng(17)
     mat, g42, _ = matched_material_and_geoms()

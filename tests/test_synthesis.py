@@ -30,6 +30,19 @@ def test_solve_diameter_ratio_eps4_50ohm():
     assert cf.characteristic_impedance(geom, mat, 1e9) == pytest.approx(50.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("target", [0.0, -50.0, math.nan, math.inf])
+def test_solve_diameter_ratio_refuses_bad_target(target):
+    with pytest.raises(ValueError, match=f"target_z_ohm must be finite and > 0, got {target}"):
+        cf.solve_diameter_ratio(target, cf.MaterialModel.constant(4.0, 1.0, 0.0), 1e9)
+
+
+@pytest.mark.parametrize("target, ratio", [(1e6, "inf"), (1e-300, "1")])
+def test_solve_diameter_ratio_without_finite_ratio_above_1(target, ratio):
+    # exp overflows for the first target and rounds to exactly 1 for the second
+    with pytest.raises(cf.NoSolutionError, match=rf"\(D/d = {ratio}\)"):
+        cf.solve_diameter_ratio(target, cf.MaterialModel.constant(4.0, 1.0, 0.0), 1e9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     target=st.floats(10.0, 200.0),
@@ -58,6 +71,19 @@ def test_solve_length_for_slope_linear_in_target():
     assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+def test_solve_length_for_slope_refuses_bad_target(target):
+    mat = affine_material(alpha=(2.5e-9 * 1e7, 2.5e-9 * 2e10))
+    with pytest.raises(ValueError, match=f"must be finite and > 0, got {target}"):
+        cf.solve_length_for_slope(target, mat)
+
+
+def test_solve_length_for_slope_overflowing_length():
+    mat = affine_material(alpha=(0.0, 1e-10))
+    with pytest.raises(cf.NoSolutionError, match=r"no finite length gives 1e\+308 dB/GHz"):
+        cf.solve_length_for_slope(1e308, mat)
+
+
 def test_solve_length_for_slope_constant_alpha():
     mat = affine_material(alpha=(30.0, 30.0))
     with pytest.raises(cf.NoSolutionError):
@@ -69,7 +95,7 @@ def test_solve_length_for_slope_constant_alpha():
 def test_solve_length_for_slope_non_affine():
     f = np.linspace(1e7, 2e10, 21)
     alpha = 40.0 * (f / 2e10) ** 2 + 1.0  # strongly quadratic
-    mat = cf.MaterialModel.from_arrays(f, np.full(21, 4.0), np.ones(21), alpha)
+    mat = cf.MaterialModel(f, np.full(21, 4.0), np.ones(21), alpha)
     with pytest.raises(cf.UnsupportedMaterialError):
         cf.solve_length_for_slope(1.0, mat)
 

@@ -277,7 +277,7 @@ def test_writers_match_per_value_oracle(data, z0):
 )
 def test_material_to_csv_matches_per_value_oracle(rows):
     rows.sort()
-    mat = cf.MaterialModel.from_arrays(*zip(*rows))
+    mat = cf.MaterialModel(*zip(*rows))
     assert cf.material_to_csv(mat) == _oracle_material_to_csv(mat)
 
 
@@ -379,9 +379,7 @@ def test_response_csv_round_trip():
 
 
 def test_material_csv_round_trip():
-    mat = cf.MaterialModel.from_arrays(
-        [1e7, 2e10], [4.0, 5.5], [1.2, 1.0], [0.0, 60.0]
-    )
+    mat = cf.MaterialModel([1e7, 2e10], [4.0, 5.5], [1.2, 1.0], [0.0, 60.0])
     back = cf.material_from_csv(cf.material_to_csv(mat))
     for a, b in zip(mat.table, back.table):
         assert a.tolist() == b.tolist()

@@ -59,12 +59,16 @@ def test_grid_invariants():
         with pytest.raises(ValueError, match="finite"):
             cf.FrequencyGrid(np.array(bad))
     assert len(cf.FrequencyGrid.linear(1e7, 2e10, 11)) == 11
+    assert cf.FrequencyGrid.linear(1e9, 5.0, 1).points_hz.tolist() == [1e9]
+    for stop in (math.nan, math.inf):
+        with pytest.raises(cf.RowError, match="row 0: grid frequencies must be finite"):
+            cf.FrequencyGrid.linear(1e9, stop, 1)
 
 
 def _bad_row(*rows):
     """The RowError of a material table built from rows, each (f, eps, mu, alpha)."""
     with pytest.raises(cf.RowError) as err:
-        cf.MaterialModel.from_arrays(*zip(*rows))
+        cf.MaterialModel(*zip(*rows))
     return err.value
 
 
@@ -85,7 +89,7 @@ def test_material_sample_invariants():
     assert _bad_row(good, (0.5e9, 4.0, 1.0, 0.0), (3e9, 0.5, 1.0, 0.0)).row == 1
     assert _bad_row(good, (2e9, 4.0, 1.0, 0.0), (2e9, 0.5, 1.0, 0.0)).row == 2
     with pytest.raises(ValueError):
-        cf.MaterialModel.from_arrays([], [], [], [])
+        cf.MaterialModel([], [], [], [])
 
 
 def test_material_single_sample_is_frequency_independent():
@@ -104,7 +108,7 @@ def test_material_no_extrapolation():
 
 
 def test_material_interpolation_is_linear():
-    mat = cf.MaterialModel.from_arrays([1e9, 3e9], [2.0, 4.0], [1.0, 2.0], [0.0, 10.0])
+    mat = cf.MaterialModel([1e9, 3e9], [2.0, 4.0], [1.0, 2.0], [0.0, 10.0])
     eps, mu, alpha = mat.eval(2e9)
     assert eps == pytest.approx(3.0, rel=1e-15)
     assert mu == pytest.approx(1.5, rel=1e-15)
@@ -115,6 +119,7 @@ def test_propagation_constant_vacuum_beta():
     mat = cf.MaterialModel.constant(1.0, 1.0, 0.0)
     f = _C / (2.0 * math.pi)  # makes 2*pi*f/c = 1
     assert cf.propagation_constant(mat, f) == pytest.approx(1j, abs=1e-15)
+    assert isinstance(cf.propagation_constant(mat, f), complex)
 
 
 def test_propagation_constant_eps4_1ghz():
@@ -136,6 +141,7 @@ def test_characteristic_impedance_vacuum_ratio_e():
     mat = cf.MaterialModel.constant(1.0, 1.0, 0.0)
     oracle = (1.0 / (2.0 * math.pi)) * math.sqrt(_MU0 / _EPS0) * math.log(math.e)
     z = cf.characteristic_impedance(geom, mat, 1e9)
+    assert isinstance(z, float)
     assert z == pytest.approx(oracle, rel=1e-12)
     assert z == pytest.approx(59.9585, abs=5e-5)
 
@@ -306,6 +312,7 @@ def test_magnitude_db_values():
     assert cf.magnitude_db(math.exp(-1.0)) == pytest.approx(20.0 * math.log10(math.exp(-1.0)), rel=1e-15)
     assert cf.magnitude_db(math.exp(-1.0)) == pytest.approx(-8.6859, abs=5e-5)
     assert cf.magnitude_db(0.0) == cf.DB_FLOOR == -300.0
+    assert all(isinstance(cf.magnitude_db(s), float) for s in (0.0, 0.5, 0.3 + 0.4j))
     arr = cf.magnitude_db(np.array([1.0, 0.0]))
     assert arr[0] == 0.0 and arr[1] == -300.0
 
