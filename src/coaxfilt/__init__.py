@@ -6,7 +6,7 @@ filters of other lengths, synthesis toward impedance/slope targets, and
 Touchstone/CSV interchange.
 """
 
-from .constants import CONSTANTS, NP_TO_DB, PhysicalConstants
+from .constants import NP_TO_DB
 from .errors import (
     BranchAmbiguityError,
     CoaxfiltError,

@@ -200,19 +200,22 @@ def _cmd_synth(args) -> int:
             f"--f-ref outside material range [{material.f_min_hz:g}, {material.f_max_hz:g}] Hz"
         )
 
+    # solve every given target before printing, so a refused one leaves no partial report
+    lines = []
     if args.target_z is not None:
         ratio = solve_diameter_ratio(args.target_z, material, f_ref)
         check_geom = CoaxGeometry(length_m=0.0, inner_d_m=1.0, outer_d_m=ratio)
         z_check = characteristic_impedance(check_geom, material, f_ref)
-        print(f"diameter ratio D/d: {ratio:.10g}")
-        print(f"impedance at f_ref {f_ref:g} Hz: {z_check:.10g} Ohm")
+        lines.append(f"diameter ratio D/d: {ratio:.10g}")
+        lines.append(f"impedance at f_ref {f_ref:g} Hz: {z_check:.10g} Ohm")
 
     if args.slope_db_per_ghz is not None:
         length = solve_length_for_slope(args.slope_db_per_ghz, material)
         _, a1, _ = alpha_affine_fit(material)
         achieved = NP_TO_DB * a1 * 1e9 * length
-        print(f"length_m: {length:.10g}")
-        print(f"achieved matched-line slope: {achieved:.10g} dB/GHz")
+        lines.append(f"length_m: {length:.10g}")
+        lines.append(f"achieved matched-line slope: {achieved:.10g} dB/GHz")
+    print("\n".join(lines))
     return EXIT_OK
 
 

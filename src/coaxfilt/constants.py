@@ -1,32 +1,12 @@
 """Physical constants (SI, CODATA 2022). Fixed, never user-configurable."""
 
 import math
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Vacuum constants used throughout the toolkit.
-
-    eta0 is always derived as sqrt(mu0/eps0), so the set is self-consistent
-    to machine precision.
-    """
-
-    c: float = field(default=299792458.0, init=False)
-    eps0: float = field(default=8.8541878188e-12, init=False)
-    mu0: float = field(default=1.25663706127e-6, init=False)
-    eta0: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta0", math.sqrt(self.mu0 / self.eps0))
-
-
-CONSTANTS = PhysicalConstants()
-
-C0 = CONSTANTS.c
-EPS0 = CONSTANTS.eps0
-MU0 = CONSTANTS.mu0
-ETA0 = CONSTANTS.eta0
+C0 = 299792458.0
+EPS0 = 8.8541878188e-12
+MU0 = 1.25663706127e-6
+# derived, so the set is self-consistent to machine precision
+ETA0 = math.sqrt(MU0 / EPS0)
 
 # 1 Np = 20/ln(10) dB = 8.685889638... dB
 NP_TO_DB = 20.0 / math.log(10.0)

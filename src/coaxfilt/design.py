@@ -30,13 +30,21 @@ class Design:
     targets: ComplianceTargets
 
 
-def _section(doc: dict, key: str, required: bool) -> dict | None:
+def _refuse_unknown(section: dict, prefix: str, known) -> None:
+    """Raise DesignError naming the first key of section not in known."""
+    for key in section:
+        if key not in known:
+            raise DesignError(f"{prefix}{key}: unknown field")
+
+
+def _section(doc: dict, key: str, required: bool, known) -> dict | None:
     if key not in doc:
         if required:
             raise DesignError(f"{key}: missing required section")
         return None
     if not isinstance(doc[key], dict):
         raise DesignError(f"{key}: must be an object")
+    _refuse_unknown(doc[key], f"{key}.", known)
     return doc[key]
 
 
@@ -53,7 +61,7 @@ def _number(section: dict, prefix: str, key: str, default=MISSING) -> float:
 
 def _build(cls, doc: dict, key: str, required: bool):
     """cls from section doc[key]: one number per dataclass field, defaulting as cls does."""
-    section = _section(doc, key, required)
+    section = _section(doc, key, required, [f.name for f in fields(cls)])
     if section is None:
         return cls()
     try:
@@ -63,7 +71,7 @@ def _build(cls, doc: dict, key: str, required: bool):
 
 
 def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
-    m = _section(doc, "material", required=True)
+    m = _section(doc, "material", required=True, known=("path", "samples"))
     if "path" in m:
         csv_path = base_dir / str(m["path"])
         if not csv_path.is_file():
@@ -79,6 +87,7 @@ def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
         path = f"material.samples[{i}]"
         if not isinstance(row, dict):
             raise DesignError(f"{path}: must be an object")
+        _refuse_unknown(row, f"{path}.", MaterialSample._fields)
         rows.append([_number(row, f"{path}.", key) for key in MaterialSample._fields])
     try:
         return MaterialModel(*zip(*rows))
@@ -87,7 +96,7 @@ def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
 
 
 def _load_grid(doc: dict) -> FrequencyGrid:
-    g = _section(doc, "grid", required=False) or dict(DEFAULT_GRID)
+    g = _section(doc, "grid", required=False, known=DEFAULT_GRID) or dict(DEFAULT_GRID)
     spacing = g.get("spacing", "linear")
     if spacing != "linear":
         raise DesignError(f"grid.spacing: only 'linear' is supported, got {spacing!r}")
@@ -114,6 +123,7 @@ def load_design(path: str | Path) -> Design:
         raise DesignError(f"design file is not valid JSON: {err}")
     if not isinstance(doc, dict):
         raise DesignError("design file must hold a JSON object")
+    _refuse_unknown(doc, "", [f.name for f in fields(Design)])
 
     z0 = _number(doc, "", "z0_ohm", 50.0)
     if not math.isfinite(z0):

@@ -10,7 +10,8 @@ import numpy as np
 
 from .constants import ETA0, NP_TO_DB
 from .errors import InsufficientDataError, NoSolutionError, UnsupportedMaterialError
-from .txline import MaterialModel, TwoPortResponse, _require_finite_fields, magnitude_db
+from .txline import MaterialModel, TwoPortResponse, magnitude_db
+from .txline import _require_finite_fields, _require_positive
 
 _AFFINE_RESIDUAL_TOL = 1e-6
 
@@ -64,8 +65,7 @@ def solve_diameter_ratio(target_z_ohm: float, mat: MaterialModel, f_ref_hz: floa
     when that D/d is not in (1, inf), as for a target so small that D/d
     rounds to 1 or so large that it overflows.
     """
-    if not 0.0 < target_z_ohm < math.inf:
-        raise ValueError(f"target_z_ohm must be finite and > 0, got {target_z_ohm}")
+    _require_positive("target_z_ohm", target_z_ohm)
     eps, mu, _ = mat.eval(f_ref_hz)
     try:
         ratio = math.exp(2.0 * math.pi * target_z_ohm / (ETA0 * math.sqrt(mu / eps)))
@@ -99,10 +99,7 @@ def solve_length_for_slope(target_slope_db_per_ghz: float, mat: MaterialModel) -
     A matched line has |S21|_dB(f) = -NP_TO_DB * alpha(f) * l, so an
     affine alpha = a0 + a1*f yields slope NP_TO_DB * a1 * l per Hz.
     """
-    if not 0.0 < target_slope_db_per_ghz < math.inf:
-        raise ValueError(
-            f"target_slope_db_per_ghz must be finite and > 0, got {target_slope_db_per_ghz}"
-        )
+    _require_positive("target_slope_db_per_ghz", target_slope_db_per_ghz)
     _, a1, rel = alpha_affine_fit(mat)
     if rel >= _AFFINE_RESIDUAL_TOL:
         raise UnsupportedMaterialError(

@@ -60,9 +60,9 @@ def _require_finite_fields(obj) -> None:
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
-def _require_z0(z0_ohm: float) -> None:
-    if not 0.0 < z0_ohm < math.inf:
-        raise ValueError(f"z0_ohm must be finite and > 0, got {z0_ohm}")
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _init_s_columns(port, names: tuple[str, ...]) -> None:
@@ -73,7 +73,7 @@ def _init_s_columns(port, names: tuple[str, ...]) -> None:
         if column.shape != (n,):
             raise ValueError(f"{name} length must equal the grid length")
         setattr(port, name, column)
-    _require_z0(port.z0_ohm)
+    _require_positive("z0_ohm", port.z0_ohm)
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ class FrequencyGrid:
     def linear(f_start_hz: float, f_stop_hz: float, n_points: int) -> "FrequencyGrid":
         if n_points < 1:
             raise ValueError("n_points must be >= 1")
-        # a non-finite or overflowing end gives non-finite points, which the grid refuses
-        with np.errstate(invalid="ignore", over="ignore"):
-            return FrequencyGrid(np.linspace(f_start_hz, f_stop_hz, n_points))
+        _require_positive("f_start_hz", f_start_hz)
+        _require_positive("f_stop_hz", f_stop_hz)
+        return FrequencyGrid(np.linspace(f_start_hz, f_stop_hz, n_points))
 
 
 class MaterialSample(NamedTuple):
@@ -275,7 +275,7 @@ def s_params_model(
     exponentials, so large alpha*l cannot overflow. l = 0 reduces exactly
     to the identity two-port (S21 = 1, S11 = 0).
     """
-    _require_z0(z0_ohm)
+    _require_positive("z0_ohm", z0_ohm)
     f = grid.points_hz
     gamma = propagation_constant(mat, f)
     z = characteristic_impedance(geom, mat, f)
@@ -315,7 +315,7 @@ def abcd_of_line(geom: CoaxGeometry, mat: MaterialModel, f_hz: float) -> np.ndar
 
 def abcd_to_s(abcd: np.ndarray, z0_ohm: float) -> tuple[complex, complex]:
     """(S11, S21) of a chain matrix referenced to z0_ohm."""
-    _require_z0(z0_ohm)
+    _require_positive("z0_ohm", z0_ohm)
     a, b = abcd[0, 0], abcd[0, 1]
     c, d = abcd[1, 0], abcd[1, 1]
     den = a + b / z0_ohm + c * z0_ohm + d

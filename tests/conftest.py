@@ -2,9 +2,10 @@ import pytest
 
 import coaxfilt as cf
 
+from reference_filter import INNER_D, matched_geometry, reference_material
+
 # Reference build dimensions used across fixtures: 42/36 mm lengths,
 # outer-to-inner diameter ratio 8:5.1.
-INNER_D = 0.0051
 OUTER_D = 0.008
 
 
@@ -14,15 +15,11 @@ def affine_material(eps=(4.0, 4.0), mu=(1.0, 1.0), alpha=(0.0, 60.0),
     return cf.MaterialModel([f_start, f_stop], list(eps), list(mu), list(alpha))
 
 
-def matched_material_and_geoms(z0=50.0, slope_db_per_ghz=1.0):
-    """Constant-eps/mu material with affine alpha, plus 42/36 mm geometries
-    whose diameter ratio is solved so the line is matched to z0."""
-    a1 = slope_db_per_ghz / (cf.NP_TO_DB * 1e9 * 0.042)
-    mat = affine_material(eps=(4.2, 4.2), mu=(1.0, 1.0), alpha=(a1 * 1e7, a1 * 2e10))
-    ratio = cf.solve_diameter_ratio(z0, mat, 1e9)
-    g42 = cf.CoaxGeometry(0.042, INNER_D, INNER_D * ratio)
-    g36 = cf.CoaxGeometry(0.036, INNER_D, INNER_D * ratio)
-    return mat, g42, g36
+def matched_material_and_geoms():
+    """The reference filter: its 1 dB/GHz material at 42 mm, plus 42/36 mm
+    geometries whose diameter ratio is solved for a 50 Ohm match."""
+    mat = reference_material(1.0, 0.042)
+    return mat, matched_geometry(0.042, mat), matched_geometry(0.036, mat)
 
 
 @pytest.fixture

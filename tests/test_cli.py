@@ -197,15 +197,27 @@ _REFUSED_VALUES = [
      "targets: reflection_ceiling_db must be finite, got nan"),
     (("targets", "slope_tolerance_rel"), -0.1, "targets: slope_tolerance_rel must be >= 0"),
     (("grid",), {"f_start_hz": 1e9, "f_stop_hz": math.nan, "n_points": 1},
-     "grid: row 0: grid frequencies must be finite, got nan"),
+     "grid: f_stop_hz must be finite and > 0, got nan"),
+    (("grid", "f_stop_hz"), math.inf, "grid: f_stop_hz must be finite and > 0, got inf"),
+    (("grid", "f_start_hz"), 0, "grid: f_start_hz must be finite and > 0, got 0.0"),
+]
+
+# a misspelt or foreign key is refused by its path, not ignored in favour of a default
+_UNKNOWN_FIELDS = [
+    (("z0",), 75, "z0: unknown field"),
+    (("targets", "reflection_ceilng_db"), -30, "targets.reflection_ceilng_db: unknown field"),
+    (("grid", "f_stop"), 1e10, "grid.f_stop: unknown field"),
+    (("geometry", "length_mm"), 42, "geometry.length_mm: unknown field"),
+    (("material", "csv"), "m.csv", "material.csv: unknown field"),
+    (("material", "samples", 1, "eps"), 4.2, "material.samples[1].eps: unknown field"),
 ]
 
 
 @pytest.mark.parametrize(
     "path, value, message",
-    _MALFORMED_DESIGNS + _REFUSED_VALUES,
+    _MALFORMED_DESIGNS + _REFUSED_VALUES + _UNKNOWN_FIELDS,
     ids=[".".join(map(str, p)) + ("-deleted" if v is _DELETE else f"={v!r}")
-         for p, v, _ in _MALFORMED_DESIGNS + _REFUSED_VALUES],
+         for p, v, _ in _MALFORMED_DESIGNS + _REFUSED_VALUES + _UNKNOWN_FIELDS],
 )
 def test_model_malformed_design_names_field(tmp_path, capsys, path, value, message):
     bad = tmp_path / "bad.json"
@@ -234,7 +246,11 @@ _COMPARE = ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
          "slope_tolerance_rel must be >= 0"),
         (["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
           "--outer-d", "0.008", "--grid", "1e9:nan:1"],
-         "row 0: grid frequencies must be finite, got nan"),
+         "f_stop_hz must be finite and > 0, got nan"),
+        (_PREDICT + ["--length", "0.036", "--grid", "1e9:inf:5"],
+         "f_stop_hz must be finite and > 0, got inf"),
+        (_PREDICT + ["--length", "0.036", "--grid", "0:2e10:5"],
+         "f_start_hz must be finite and > 0, got 0.0"),
         (_COMPARE + ["--tol", "nan"], "--tol must be finite and >= 0, got nan"),
         (_COMPARE + ["--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
         (_COMPARE + ["--tol", "inf"], "--tol must be finite and >= 0, got inf"),
@@ -246,10 +262,15 @@ _COMPARE = ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
          "target_z_ohm must be finite and > 0, got nan"),
         (["synth", str(MAT_REF), "--target-z", "inf"],
          "target_z_ohm must be finite and > 0, got inf"),
+        # the valid impedance target is solved but not printed: no partial report
+        (["synth", str(MAT_REF), "--target-z", "50", "--slope-db-per-ghz", "nan"],
+         "target_slope_db_per_ghz must be finite and > 0, got nan"),
     ],
     ids=["predict-length-inf", "predict-z0-nan", "check-ceiling-nan", "check-tol-negative",
-         "predict-grid-nan-stop", "predict-tol-nan", "predict-tol-negative", "predict-tol-inf",
-         "synth-slope-inf", "synth-slope-nan", "synth-target-z-nan", "synth-target-z-inf"],
+         "predict-grid-nan-stop", "predict-grid-inf-stop", "predict-grid-zero-start",
+         "predict-tol-nan", "predict-tol-negative", "predict-tol-inf",
+         "synth-slope-inf", "synth-slope-nan", "synth-target-z-nan", "synth-target-z-inf",
+         "synth-target-z-then-slope-nan"],
 )
 def test_out_of_range_flag_names_field(tmp_path, capsys, argv, message):
     out_path = tmp_path / "p.csv"
@@ -462,6 +483,11 @@ def test_synth_constant_alpha_slope_unsupported(tmp_path, capsys):
     code, _, err = run(capsys, ["synth", str(path), "--slope-db-per-ghz", "1.0"])
     assert code == 5
     assert "slope" in err
+    # the impedance target is solvable, but a refused slope leaves no partial report
+    argv = ["synth", str(path), "--target-z", "50", "--slope-db-per-ghz", "1.0"]
+    assert run(capsys, argv) == (
+        5, "", "error: alpha slope is not positive; no length gives the target\n"
+    )
 
 
 @pytest.mark.parametrize(

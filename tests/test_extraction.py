@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coaxfilt as cf
+from coaxfilt.constants import C0, ETA0
 
 from conftest import INNER_D, OUTER_D, affine_material, matched_material_and_geoms
 
@@ -306,8 +307,8 @@ def test_material_from_point_round_trip():
 def test_material_from_point_vacuum():
     geom = cf.CoaxGeometry(0.042, 1.0, math.e)
     f = 1e9
-    z = cf.CONSTANTS.eta0 / (2.0 * math.pi)  # ln(D/d) = 1
-    beta = 2.0 * math.pi * f / cf.CONSTANTS.c
+    z = ETA0 / (2.0 * math.pi)  # ln(D/d) = 1
+    beta = 2.0 * math.pi * f / C0
     eps, mu, _, unphysical = cf.material_from_points(
         [1j * beta, 1j * beta], [z, z * (1.0 + 1e-10)], geom, [f, f]
     )

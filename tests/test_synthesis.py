@@ -118,7 +118,7 @@ def test_compliance_targets_invariants():
 
 
 def test_check_compliance_matched_design_passes():
-    mat, g42, _ = matched_material_and_geoms(slope_db_per_ghz=1.0)
+    mat, g42, _ = matched_material_and_geoms()
     grid = cf.FrequencyGrid.linear(1e7, 2e10, 401)
     resp = cf.s_params_model(g42, mat, grid, 50.0)
     report = cf.check_compliance(resp)
@@ -182,7 +182,7 @@ def test_check_compliance_ols_exact_on_affine_data():
 
 
 def test_check_compliance_verdicts_stable_under_refinement():
-    mat, g42, _ = matched_material_and_geoms(slope_db_per_ghz=1.0)
+    mat, g42, _ = matched_material_and_geoms()
     verdicts = []
     for n in (201, 2001):
         resp = cf.s_params_model(g42, mat, cf.FrequencyGrid.linear(1e7, 2e10, n), 50.0)

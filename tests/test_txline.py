@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -8,27 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coaxfilt as cf
+from coaxfilt.constants import C0, EPS0, ETA0, MU0
 
 from conftest import affine_material
 
 # Independent CODATA literals so impedance oracles do not reuse the
-# package's own constants object.
+# package's own constants.
 _C = 299792458.0
 _EPS0 = 8.8541878188e-12
 _MU0 = 1.25663706127e-6
 
 
 def test_constants_self_consistent():
-    k = cf.CONSTANTS
-    assert k.eta0 == math.sqrt(k.mu0 / k.eps0)
-    assert k.c > 0 and k.eps0 > 0 and k.mu0 > 0 and k.eta0 > 0
-
-
-def test_constants_not_configurable():
-    with pytest.raises(TypeError):
-        cf.PhysicalConstants(c=1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cf.CONSTANTS.c = 1.0
+    assert ETA0 == math.sqrt(MU0 / EPS0)
+    assert C0 > 0 and EPS0 > 0 and MU0 > 0 and ETA0 > 0
 
 
 def test_geometry_invariants():
@@ -60,9 +52,17 @@ def test_grid_invariants():
             cf.FrequencyGrid(np.array(bad))
     assert len(cf.FrequencyGrid.linear(1e7, 2e10, 11)) == 11
     assert cf.FrequencyGrid.linear(1e9, 5.0, 1).points_hz.tolist() == [1e9]
-    for stop in (math.nan, math.inf):
-        with pytest.raises(cf.RowError, match="row 0: grid frequencies must be finite"):
-            cf.FrequencyGrid.linear(1e9, stop, 1)
+    # each end is refused by its own name before linspace, even where one point ignores the stop
+    for start, stop, n, message in (
+        (1e9, math.nan, 1, "f_stop_hz must be finite and > 0, got nan"),
+        (1e9, math.inf, 1, "f_stop_hz must be finite and > 0, got inf"),
+        (1e9, math.inf, 5, "f_stop_hz must be finite and > 0, got inf"),
+        (0.0, 2e10, 5, "f_start_hz must be finite and > 0, got 0.0"),
+        (-1e9, 2e10, 5, "f_start_hz must be finite and > 0, got -1000000000.0"),
+        (math.nan, 2e10, 1, "f_start_hz must be finite and > 0, got nan"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cf.FrequencyGrid.linear(start, stop, n)
 
 
 def _bad_row(*rows):
@@ -202,7 +202,7 @@ def test_s_params_quarter_wave():
     # with sqrt(eps*mu) = 2.
     length = 0.042
     mat = cf.MaterialModel.constant(4.0, 1.0, 0.0)
-    ratio = math.exp(2.0 * math.pi * 100.0 / (cf.CONSTANTS.eta0 * 0.5))
+    ratio = math.exp(2.0 * math.pi * 100.0 / (ETA0 * 0.5))
     geom = cf.CoaxGeometry(length, 1.0, ratio)
     f = _C / (8.0 * length)
     resp = cf.s_params_model(geom, mat, cf.FrequencyGrid(np.array([f])), 50.0)
