@@ -39,6 +39,8 @@ from .synthesis import (
     solve_length_for_slope,
 )
 from .touchstone import (
+    FORMATS,
+    UNIT_TO_HZ,
     export_csv,
     material_from_csv,
     material_to_csv,
@@ -292,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a .s2p between formats and units")
     p.add_argument("input", help="input .s2p path")
     p.add_argument("output", help="output .s2p path")
-    p.add_argument("--to", choices=["ri", "ma", "db"], default="ri", help="output format")
-    p.add_argument("--unit", choices=["hz", "khz", "mhz", "ghz"], default="ghz", help="output frequency unit")
+    p.add_argument("--to", choices=FORMATS, default="ri", help="output format")
+    p.add_argument("--unit", choices=list(UNIT_TO_HZ), default="ghz", help="output frequency unit")
 
     return parser
 

@@ -72,6 +72,8 @@ def _build(cls, doc: dict, key: str, required: bool):
 
 def _load_material(doc: dict, base_dir: Path) -> MaterialModel:
     m = _section(doc, "material", required=True, known=("path", "samples"))
+    if "path" in m and "samples" in m:
+        raise DesignError("material: give either path or samples, not both")
     if "path" in m:
         csv_path = base_dir / str(m["path"])
         if not csv_path.is_file():

@@ -81,7 +81,7 @@ def _mul(ar, ai, br, bi):
 def _div(ar, ai, br, bi):
     """Smith's method as in CPython's _Py_c_quot; b == 0 gives NaN or inf."""
     by_re = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the branch not taken
         ratio = np.where(by_re, bi / br, br / bi)
         denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
         re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
@@ -316,5 +316,5 @@ def _flag_map(reason: np.ndarray) -> dict[int, str]:
 
 
 def count_flags(flags: dict[int, str]) -> dict[str, int]:
-    """Number of flagged points per reason, in reason order."""
+    """Number of flagged points per reason, the reasons sorted by name."""
     return dict(sorted(Counter(flags.values()).items()))

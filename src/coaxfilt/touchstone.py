@@ -57,10 +57,11 @@ class RawTwoPort:
         _init_s_columns(self, ("s11", "s21", "s12", "s22"))
 
 
-def _render(sep: str, columns: list[list[float]]) -> list[str]:
-    """One line per row of the columns, every value rendered as %.12g."""
+def _text(head: list[str], sep: str, columns: list[list[float]]) -> str:
+    """The head lines, then one line per row of the columns with every value
+    rendered as %.12g; LF-separated, with a final LF."""
     row = sep.join(["%.12g"] * len(columns))
-    return [row % r for r in zip(*columns)]
+    return "\n".join([*head, *(row % r for r in zip(*columns))]) + "\n"
 
 
 def _require_finite(*arrays) -> None:
@@ -96,35 +97,31 @@ def _parse_option_line(line: str, line_no: int) -> tuple[str, str, float]:
     fmt = "ma"
     z0 = 50.0
     seen = set()
-    tokens = line[1:].split()
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i].lower()
+    tokens = iter(line[1:].split())
+    for token in tokens:
+        tok = token.lower()
         group = "unit" if tok in UNIT_TO_HZ else "format" if tok in FORMATS else tok
         if group in seen:
-            raise ParseError(line_no, f"duplicate option token {tokens[i]!r}")
+            raise ParseError(line_no, f"duplicate option token {token!r}")
         seen.add(group)
         if tok in UNIT_TO_HZ:
             unit = tok
         elif tok in FORMATS:
             fmt = tok
         elif tok in ("y", "z", "g", "h"):
-            raise ParseError(line_no, f"unsupported parameter '{tokens[i]}'; only S is accepted")
-        elif tok == "s":
-            pass
+            raise ParseError(line_no, f"unsupported parameter '{token}'; only S is accepted")
         elif tok == "r":
-            if i + 1 >= len(tokens):
+            value = next(tokens, None)
+            if value is None:
                 raise ParseError(line_no, "option 'R' is missing its impedance value")
             try:
-                z0 = float(tokens[i + 1])
+                z0 = float(value)
             except ValueError:
-                raise ParseError(line_no, f"unparseable reference impedance {tokens[i + 1]!r}")
-            if not math.isfinite(z0) or z0 <= 0.0:
+                raise ParseError(line_no, f"unparseable reference impedance {value!r}")
+            if not 0.0 < z0 < math.inf:
                 raise ParseError(line_no, f"reference impedance must be positive, got {z0!r}")
-            i += 1
-        else:
-            raise ParseError(line_no, f"unrecognized option token {tokens[i]!r}")
-        i += 1
+        elif tok != "s":
+            raise ParseError(line_no, f"unrecognized option token {token!r}")
     return unit, fmt, z0
 
 
@@ -233,12 +230,8 @@ def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
         else:
             pairs = [_complex_to_pair(fmt, v) for v in s.tolist()]
             columns += [[a for a, _ in pairs], [b for _, b in pairs]]
-    lines = [
-        "! coaxfilt two-port export",
-        "# %s S %s R %.12g" % (unit.upper(), fmt.upper(), raw.z0_ohm),
-        *_render(" ", columns),
-    ]
-    return "\n".join(lines) + "\n"
+    option = "# %s S %s R %.12g" % (unit.upper(), fmt.upper(), raw.z0_ohm)
+    return _text(["! coaxfilt two-port export", option], " ", columns)
 
 
 def symmetrize(raw: RawTwoPort) -> tuple[TwoPortResponse, float]:
@@ -249,13 +242,8 @@ def symmetrize(raw: RawTwoPort) -> tuple[TwoPortResponse, float]:
     """
     s11 = (raw.s11 + raw.s22) / 2.0
     s21 = (raw.s21 + raw.s12) / 2.0
-    if len(raw.grid):
-        asym = float(
-            max(np.max(np.abs(raw.s11 - raw.s22)), np.max(np.abs(raw.s21 - raw.s12)))
-        )
-    else:
-        asym = 0.0
-    return TwoPortResponse(grid=raw.grid, s11=s11, s21=s21, z0_ohm=raw.z0_ohm), asym
+    asym = max(np.max(np.abs(d), initial=0.0) for d in (raw.s11 - raw.s22, raw.s21 - raw.s12))
+    return TwoPortResponse(grid=raw.grid, s11=s11, s21=s21, z0_ohm=raw.z0_ohm), float(asym)
 
 
 def raw_from_response(resp: TwoPortResponse) -> RawTwoPort:
@@ -278,8 +266,7 @@ def export_csv(resp: TwoPortResponse) -> str:
     f, s11, s21 = resp.grid.points_hz, resp.s11, resp.s21
     _require_finite(f, s11, s21)
     columns = [f, s11.real, s11.imag, s21.real, s21.imag, magnitude_db(s11), magnitude_db(s21)]
-    lines = [RESPONSE_CSV_HEADER, *_render(",", [c.tolist() for c in columns])]
-    return "\n".join(lines) + "\n"
+    return _text([RESPONSE_CSV_HEADER], ",", [c.tolist() for c in columns])
 
 
 def _read_csv(text: str, header: str, kind: str, build: Callable):
@@ -321,8 +308,7 @@ def response_from_csv(text: str, z0_ohm: float = 50.0) -> TwoPortResponse:
 
 
 def material_to_csv(mat: MaterialModel) -> str:
-    lines = [MATERIAL_CSV_HEADER, *_render(",", [c.tolist() for c in mat.table])]
-    return "\n".join(lines) + "\n"
+    return _text([MATERIAL_CSV_HEADER], ",", [c.tolist() for c in mat.table])
 
 
 def material_from_csv(text: str) -> MaterialModel:

@@ -126,6 +126,11 @@ class FrequencyGrid:
             raise ValueError("n_points must be >= 1")
         _require_positive("f_start_hz", f_start_hz)
         _require_positive("f_stop_hz", f_stop_hz)
+        if n_points > 1 and f_stop_hz <= f_start_hz:
+            raise ValueError(
+                f"f_stop_hz must exceed f_start_hz, got f_start_hz={f_start_hz}, "
+                f"f_stop_hz={f_stop_hz}"
+            )
         return FrequencyGrid(np.linspace(f_start_hz, f_stop_hz, n_points))
 
 
@@ -329,6 +334,5 @@ def abcd_to_s(abcd: np.ndarray, z0_ohm: float) -> tuple[complex, complex]:
 def magnitude_db(s):
     """20*log10(|s|) with exact zeros mapped to the -300 dB floor sentinel."""
     mag = np.abs(np.asarray(s))
-    with np.errstate(divide="ignore"):
-        db = np.where(mag > 0.0, 20.0 * np.log10(np.where(mag > 0.0, mag, 1.0)), DB_FLOOR)
+    db = np.where(mag > 0.0, 20.0 * np.log10(np.where(mag > 0.0, mag, 1.0)), DB_FLOOR)
     return db[()]

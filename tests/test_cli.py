@@ -167,7 +167,10 @@ _MALFORMED_DESIGNS = [
      "material.samples[1].f_hz: must be a number, got '2e10'"),
     (("material", "samples", 1, "eps_rel"), 0.5,
      "material.samples[1]: eps_rel must be finite and >= 1, got 0.5"),
-    (("material", "path"), "absent.csv", "material.path: file not found: {dir}/absent.csv"),
+    (("material",), {"path": "absent.csv"}, "material.path: file not found: {dir}/absent.csv"),
+    # a valid path does not hide a malformed sample: the section names one source
+    (("material",), {"path": str(MAT_REF), "samples": [{"f_hz": 1e7, "eps_rel": "junk"}]},
+     "material: give either path or samples, not both"),
     (("z0_ohm",), "50", "z0_ohm: must be a number, got '50'"),
     (("z0_ohm",), 0, "z0_ohm: must be > 0, got 0.0"),
     (("grid", "n_points"), 2.0, "grid.n_points: must be an integer, got 2.0"),
@@ -200,6 +203,9 @@ _REFUSED_VALUES = [
      "grid: f_stop_hz must be finite and > 0, got nan"),
     (("grid", "f_stop_hz"), math.inf, "grid: f_stop_hz must be finite and > 0, got inf"),
     (("grid", "f_start_hz"), 0, "grid: f_start_hz must be finite and > 0, got 0.0"),
+    (("grid", "f_start_hz"), 2e10,
+     "grid: f_stop_hz must exceed f_start_hz, got f_start_hz=20000000000.0, "
+     "f_stop_hz=20000000000.0"),
 ]
 
 # a misspelt or foreign key is refused by its path, not ignored in favour of a default
@@ -251,6 +257,12 @@ _COMPARE = ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
          "f_stop_hz must be finite and > 0, got inf"),
         (_PREDICT + ["--length", "0.036", "--grid", "0:2e10:5"],
          "f_start_hz must be finite and > 0, got 0.0"),
+        (_PREDICT + ["--length", "0.036", "--grid", "2e10:1e9:5"],
+         "f_stop_hz must exceed f_start_hz, got f_start_hz=20000000000.0, "
+         "f_stop_hz=1000000000.0"),
+        (_PREDICT + ["--length", "0.036", "--grid", "1e9:1e9:3"],
+         "f_stop_hz must exceed f_start_hz, got f_start_hz=1000000000.0, "
+         "f_stop_hz=1000000000.0"),
         (_COMPARE + ["--tol", "nan"], "--tol must be finite and >= 0, got nan"),
         (_COMPARE + ["--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
         (_COMPARE + ["--tol", "inf"], "--tol must be finite and >= 0, got inf"),
@@ -268,6 +280,7 @@ _COMPARE = ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
     ],
     ids=["predict-length-inf", "predict-z0-nan", "check-ceiling-nan", "check-tol-negative",
          "predict-grid-nan-stop", "predict-grid-inf-stop", "predict-grid-zero-start",
+         "predict-grid-reversed", "predict-grid-equal-ends",
          "predict-tol-nan", "predict-tol-negative", "predict-tol-inf",
          "synth-slope-inf", "synth-slope-nan", "synth-target-z-nan", "synth-target-z-inf",
          "synth-target-z-then-slope-nan"],

@@ -203,6 +203,7 @@ _EDGE_PAIRS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(_EDGE_PAIRS, min_size=1, max_size=30))
 @example(pairs=[((2.2250738585e-313 + 1j), 1j)])  # np.sqrt missed cmath.sqrt by one bit here
+@example(pairs=[((0.48046875 + 5e-324j), 0j)])  # the untaken br / bi overflowed in _div
 def test_invert_points_bit_exact_with_scalar_oracle(pairs):
     s11, s21 = (np.array(col, dtype=complex) for col in zip(*pairs))
     _assert_matches_oracle(s11, s21)

@@ -60,6 +60,10 @@ def test_grid_invariants():
         (0.0, 2e10, 5, "f_start_hz must be finite and > 0, got 0.0"),
         (-1e9, 2e10, 5, "f_start_hz must be finite and > 0, got -1000000000.0"),
         (math.nan, 2e10, 1, "f_start_hz must be finite and > 0, got nan"),
+        (2e10, 1e9, 5, "f_stop_hz must exceed f_start_hz, got f_start_hz=20000000000.0, "
+         "f_stop_hz=1000000000.0"),
+        (1e9, 1e9, 2, "f_stop_hz must exceed f_start_hz, got f_start_hz=1000000000.0, "
+         "f_stop_hz=1000000000.0"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             cf.FrequencyGrid.linear(start, stop, n)
