@@ -160,14 +160,15 @@ def _cmd_predict(args) -> int:
 
     if args.compare and args.grid:
         raise ValueError("give either --grid or --compare, not both")
+    # without --z0, a compared response is modeled at its own reference impedance
     if args.compare:
         measured, _ = _load_response(args.compare)
-        grid = measured.grid
+        grid, z0 = measured.grid, measured.z0_ohm
     else:
         measured = None
-        grid = _parse_grid_spec(args.grid or _DEFAULT_GRID_SPEC)
+        grid, z0 = _parse_grid_spec(args.grid or _DEFAULT_GRID_SPEC), 50.0
 
-    resp = s_params_model(geom, material, grid, z0_ohm=args.z0)
+    resp = s_params_model(geom, material, grid, z0_ohm=z0 if args.z0 is None else args.z0)
     _write_response(resp, args.out)
     print(f"predicted {len(grid)} points for length {geom.length_m:g} m")
     print(f"wrote {args.out}")
@@ -273,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("material", help="material CSV path")
     _add_geometry_flags(p)
     p.add_argument("--grid", help=f"grid spec START_HZ:STOP_HZ:N_POINTS (default {_DEFAULT_GRID_SPEC})")
-    p.add_argument("--z0", type=float, default=50.0, help="reference impedance, Ohm")
+    p.add_argument("--z0", type=float,
+                   help="reference impedance, Ohm (default: the --compare file's, else 50)")
     p.add_argument("--out", required=True, help="output path (.csv or .s2p)")
     p.add_argument("--compare", help="measured .s2p/.csv to compare against (uses its grid)")
     p.add_argument("--tol", type=float, default=0.1, help="max relative |S21| deviation (default 0.1)")

@@ -56,7 +56,10 @@ def _number(section: dict, prefix: str, key: str, default=MISSING) -> float:
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DesignError(f"{prefix}{key}: must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an int beyond float range reads as infinite, as 1e400 does
+        return math.inf if v > 0 else -math.inf
 
 
 def _build(cls, doc: dict, key: str, required: bool):

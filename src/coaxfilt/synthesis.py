@@ -66,6 +66,7 @@ def solve_diameter_ratio(target_z_ohm: float, mat: MaterialModel, f_ref_hz: floa
     rounds to 1 or so large that it overflows.
     """
     _require_positive("target_z_ohm", target_z_ohm)
+    _require_positive("f_ref_hz", f_ref_hz)
     eps, mu, _ = mat.eval(f_ref_hz)
     try:
         ratio = math.exp(2.0 * math.pi * target_z_ohm / (ETA0 * math.sqrt(mu / eps)))

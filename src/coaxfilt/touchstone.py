@@ -4,8 +4,9 @@ Only two-port S-parameter files are handled: `!` starts a comment, one
 `#` option line gives unit / parameter / format / reference impedance
 (each at most once), and each data row holds 9 numbers (f, then S11 S21 S12 S22 pairs).
 Angles are degrees in files and radians internally. All parse errors
-carry a 1-based line number, and non-finite numbers are refused on read
-and on write.
+carry a 1-based line number, and non-finite numbers are refused on read.
+The writers need no such check: RawTwoPort and TwoPortResponse refuse a
+non-finite S value when they are built.
 
 Each reader splits its text into rows of tokens once, converts them all
 with float() and checks every rule as a mask over the rows: the token
@@ -62,11 +63,6 @@ def _text(head: list[str], sep: str, columns: list[list[float]]) -> str:
     rendered as %.12g; LF-separated, with a final LF."""
     row = sep.join(["%.12g"] * len(columns))
     return "\n".join([*head, *(row % r for r in zip(*columns))]) + "\n"
-
-
-def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("cannot write non-finite values")
 
 
 def _pair_to_complex(fmt: str, a: float, b: float) -> complex:
@@ -211,7 +207,7 @@ def parse_s2p(text: str) -> RawTwoPort:
 def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
     """Serialize a RawTwoPort as Touchstone v1 text (12 significant digits).
 
-    Raises ValueError on a non-finite frequency, S-parameter or z0.
+    Every value is finite, as RawTwoPort and FrequencyGrid hold no other.
     """
     unit = unit.lower()
     fmt = fmt.lower()
@@ -220,11 +216,8 @@ def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
-    params = (raw.s11, raw.s21, raw.s12, raw.s22)
-    _require_finite(raw.z0_ohm, raw.grid.points_hz, *params)
-
     columns = [(raw.grid.points_hz / UNIT_TO_HZ[unit]).tolist()]
-    for s in params:
+    for s in (raw.s11, raw.s21, raw.s12, raw.s22):
         if fmt == "ri":
             columns += [s.real.tolist(), s.imag.tolist()]
         else:
@@ -261,10 +254,9 @@ def raw_from_response(resp: TwoPortResponse) -> RawTwoPort:
 def export_csv(resp: TwoPortResponse) -> str:
     """Plot-ready CSV of a response (dB columns use the -300 floor sentinel).
 
-    Raises ValueError on a non-finite frequency or S-parameter.
+    Every value is finite, as TwoPortResponse and FrequencyGrid hold no other.
     """
     f, s11, s21 = resp.grid.points_hz, resp.s11, resp.s21
-    _require_finite(f, s11, s21)
     columns = [f, s11.real, s11.imag, s21.real, s21.imag, magnitude_db(s11), magnitude_db(s21)]
     return _text([RESPONSE_CSV_HEADER], ",", [c.tolist() for c in columns])
 

@@ -66,12 +66,14 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _init_s_columns(port, names: tuple[str, ...]) -> None:
-    """Store port's named S columns as complex arrays, one entry per grid point; check z0."""
+    """Store port's named S columns as finite complex arrays, one entry per grid point; check z0."""
     n = len(port.grid)
     for name in names:
         column = np.asarray(getattr(port, name), dtype=complex)
         if column.shape != (n,):
             raise ValueError(f"{name} length must equal the grid length")
+        if not np.isfinite(column).all():
+            raise ValueError(f"{name} holds a non-finite value")
         setattr(port, name, column)
     _require_positive("z0_ohm", port.z0_ohm)
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coaxfilt as cf
@@ -184,9 +185,20 @@ _MALFORMED_DESIGNS = [
      "targets.band_max_hz: must be a number, got '20 GHz'"),
 ]
 
-# non-finite numbers (Python's JSON reader accepts NaN and Infinity) and f <= 0 samples,
-# refused by the value types and named by the loader
+
+class _HugeInt(int):
+    """An integer beyond float range; json.dumps writes all its digits, the test id a few."""
+
+    def __repr__(self) -> str:
+        return "10**400"
+
+
+# non-finite numbers (Python's JSON reader accepts NaN and Infinity, and an integer too
+# large for a float reads as infinite) and f <= 0 samples, refused by the value types
+# and named by the loader
 _REFUSED_VALUES = [
+    (("z0_ohm",), _HugeInt(10**400), "z0_ohm: must be finite, got inf"),
+    (("geometry", "length_m"), _HugeInt(10**400), "geometry: length_m must be finite, got inf"),
     (("geometry", "length_m"), math.inf, "geometry: length_m must be finite, got inf"),
     (("geometry", "length_m"), math.nan, "geometry: length_m must be finite, got nan"),
     (("geometry", "outer_d_m"), math.inf, "geometry: outer_d_m must be finite, got inf"),
@@ -365,6 +377,21 @@ def test_extract_corrupt_file_fails_with_flags(tmp_path, capsys):
     assert "point 0" in err
 
 
+def test_extract_refuses_overflowing_pair_average(tmp_path, capsys):
+    # S11 + S22 overflows when the pairs are averaged, and the averaged S11 is refused
+    lines = MEAS42.read_text().splitlines()
+    row = lines[2].split()
+    row[1] = row[7] = "1.5e308"
+    lines[2] = " ".join(row)
+    path = tmp_path / "overflow.s2p"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["extract", str(path), "--length", "0.042", "--inner-d", str(G42["inner_d_m"]),
+            "--outer-d", str(G42["outer_d_m"]), "--out", str(tmp_path / "m.csv")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(capsys, argv) == (2, "", "error: s11 holds a non-finite value\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_predict_grid_outside_material(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -408,6 +435,30 @@ def test_predict_compare_exceeding_tolerance(tmp_path, capsys):
     )
     assert code == 4
     assert "exceeds tolerance" in err
+
+
+def test_predict_compare_defaults_to_the_compared_z0(tmp_path, capsys):
+    # the same filter referenced to 75 Ohm: |S21| matches only when modeled at 75 Ohm too
+    geom = cf.CoaxGeometry(0.036, G42["inner_d_m"], G42["outer_d_m"])
+    material = cf.material_from_csv(MAT_REF.read_text())
+    resp = cf.s_params_model(geom, material, cf.FrequencyGrid.linear(1e9, 2e10, 21), 75.0)
+    meas = tmp_path / "meas_36mm_75ohm.s2p"
+    meas.write_text(cf.write_s2p(cf.raw_from_response(resp)))
+    argv = ["predict", str(MAT_REF), "--length", "0.036",
+            "--inner-d", str(G42["inner_d_m"]), "--outer-d", str(G42["outer_d_m"]),
+            "--out", str(tmp_path / "p.csv"), "--compare", str(meas)]
+
+    def max_deviation(out):
+        line = next(ln for ln in out.splitlines() if ln.startswith("max relative"))
+        return float(line.split(": ")[1].rstrip("%")) / 100.0
+
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert max_deviation(out) < 1e-6
+    # an explicit --z0 is still honoured
+    code, out, _ = run(capsys, argv + ["--z0", "50"])
+    assert code == 0
+    assert max_deviation(out) > 0.05
 
 
 def test_predict_tiny_tol_fails(tmp_path, capsys):
@@ -513,6 +564,17 @@ def test_synth_constant_alpha_slope_unsupported(tmp_path, capsys):
 def test_synth_unreachable_target_z(capsys, target, message):
     assert run(capsys, ["synth", str(MAT_REF), "--target-z", target]) == (
         5, "", f"error: {message}\n"
+    )
+
+
+@pytest.mark.parametrize("f_ref, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"),
+                                           ("-1", "-1.0")])
+def test_synth_refuses_bad_f_ref(tmp_path, capsys, f_ref, shown):
+    # a one-row material covers every frequency, so the range check lets any f_ref through
+    path = tmp_path / "one_row.csv"
+    path.write_text(cf.material_to_csv(cf.MaterialModel.constant(4.2, 1.0, 0.0)))
+    assert run(capsys, ["synth", str(path), "--target-z", "50", "--f-ref", f_ref]) == (
+        2, "", f"error: f_ref_hz must be finite and > 0, got {shown}\n"
     )
 
 

@@ -30,10 +30,18 @@ def test_solve_diameter_ratio_eps4_50ohm():
     assert cf.characteristic_impedance(geom, mat, 1e9) == pytest.approx(50.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("target", [0.0, -50.0, math.nan, math.inf])
-def test_solve_diameter_ratio_refuses_bad_target(target):
-    with pytest.raises(ValueError, match=f"target_z_ohm must be finite and > 0, got {target}"):
-        cf.solve_diameter_ratio(target, cf.MaterialModel.constant(4.0, 1.0, 0.0), 1e9)
+_BAD = [0.0, -50.0, math.nan, math.inf]
+
+
+# a one-row material covers every frequency, so only the f_ref rule can refuse a bad f_ref
+@pytest.mark.parametrize(
+    "target, f_ref, name, value",
+    [(t, 1e9, "target_z_ohm", t) for t in _BAD] + [(50.0, f, "f_ref_hz", f) for f in _BAD],
+    ids=[str(t) for t in _BAD] + [f"f_ref={f}" for f in _BAD],
+)
+def test_solve_diameter_ratio_refuses_bad_target(target, f_ref, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+        cf.solve_diameter_ratio(target, cf.MaterialModel.constant(4.0, 1.0, 0.0), f_ref)
 
 
 @pytest.mark.parametrize("target, ratio", [(1e6, "inf"), (1e-300, "1")])
@@ -156,6 +164,17 @@ def test_check_compliance_mismatch_worst_point():
     assert report.worst_reflection_db == pytest.approx(float(db[i]), abs=1e-12)
     assert report.worst_reflection_f_hz == float(grid.points_hz[i])
     assert report.worst_reflection_db > -15.0
+
+
+def test_check_compliance_never_grades_a_nan_response():
+    # magnitude_db maps NaN to the -300 dB floor, which would pass any ceiling; such a
+    # response is refused when it is built, so check_compliance never sees one
+    mat, g42, _ = matched_material_and_geoms()
+    resp = cf.s_params_model(g42, mat, cf.FrequencyGrid.linear(1e9, 2e9, 5), 50.0)
+    s11 = resp.s11.copy()
+    s11[0] = math.nan
+    with pytest.raises(ValueError, match="s11 holds a non-finite value"):
+        cf.TwoPortResponse(grid=resp.grid, s11=s11, s21=resp.s21)
 
 
 def test_check_compliance_insufficient_points():

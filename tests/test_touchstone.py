@@ -433,13 +433,11 @@ def test_csv_readers_name_bad_line(reader, text, line_no, message):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
 def test_writers_refuse_non_finite(bad):
-    raw = _raw([1e9, 2e9], [0.1, bad], [0.9, 0.5])
-    for fmt in ("ri", "ma", "db"):
-        with pytest.raises(ValueError, match="non-finite"):
-            cf.write_s2p(raw, fmt=fmt)
-    resp = cf.TwoPortResponse(grid=raw.grid, s11=raw.s21, s21=raw.s11)
+    # the S-parameter types refuse the value when built, so no writer can be handed one
     with pytest.raises(ValueError, match="non-finite"):
-        cf.export_csv(resp)
+        _raw([1e9, 2e9], [0.1, bad], [0.9, 0.5])
+    with pytest.raises(ValueError, match="non-finite"):
+        cf.TwoPortResponse(grid=cf.FrequencyGrid([1e9, 2e9]), s11=[0.9, 0.5], s21=[0.1, bad])
 
 
 # ------------------------------------------------ readers vs line loops

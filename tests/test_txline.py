@@ -380,3 +380,12 @@ def test_two_port_response_invariants():
         # refused before the model runs, so no NaN reaches the arithmetic
         with pytest.raises(ValueError, match="z0_ohm must be finite and > 0"):
             cf.s_params_model(cf.CoaxGeometry(0.042, 0.0051, 0.008), affine_material(), grid, z0)
+    # a non-finite S value is refused in whichever column holds it, when the port is built
+    for cls, names in ((cf.TwoPortResponse, ("s11", "s21")),
+                       (cf.RawTwoPort, ("s11", "s21", "s12", "s22"))):
+        for name in names:
+            for bad in (math.nan, math.inf, complex(0.5, math.nan)):
+                columns = {n: np.full(3, 0.5 + 0.0j) for n in names}
+                columns[name][1] = bad
+                with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+                    cls(grid=grid, **columns)
