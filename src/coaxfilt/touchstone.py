@@ -6,7 +6,8 @@ Only two-port S-parameter files are handled: `!` starts a comment, one
 Angles are degrees in files and radians internally. All parse errors
 carry a 1-based line number, and non-finite numbers are refused on read.
 The writers need no such check: RawTwoPort and TwoPortResponse refuse a
-non-finite S value when they are built.
+non-finite S value when they are built and hold read-only copies of their
+columns, so none can appear later.
 
 Each reader splits its text into rows of tokens once, converts them all
 with float() and checks every rule as a mask over the rows: the token
@@ -43,7 +44,7 @@ MATERIAL_CSV_HEADER = ",".join(MaterialSample._fields)
 RESPONSE_CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawTwoPort:
     """All four S-parameters as read from a file, frequencies in Hz."""
 
@@ -233,22 +234,17 @@ def symmetrize(raw: RawTwoPort) -> tuple[TwoPortResponse, float]:
     Returns ((S11+S22)/2, (S21+S12)/2) as a TwoPortResponse plus
     max over the grid of max(|S11-S22|, |S21-S12|).
     """
-    s11 = (raw.s11 + raw.s22) / 2.0
-    s21 = (raw.s21 + raw.s12) / 2.0
-    asym = max(np.max(np.abs(d), initial=0.0) for d in (raw.s11 - raw.s22, raw.s21 - raw.s12))
+    # TwoPortResponse refuses an overflowed average by name; numpy need not warn of it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        s11 = (raw.s11 + raw.s22) / 2.0
+        s21 = (raw.s21 + raw.s12) / 2.0
+        asym = max(np.max(np.abs(d), initial=0.0) for d in (raw.s11 - raw.s22, raw.s21 - raw.s12))
     return TwoPortResponse(grid=raw.grid, s11=s11, s21=s21, z0_ohm=raw.z0_ohm), float(asym)
 
 
 def raw_from_response(resp: TwoPortResponse) -> RawTwoPort:
     """Expand a symmetric response to the four-parameter file form."""
-    return RawTwoPort(
-        grid=resp.grid,
-        s11=resp.s11.copy(),
-        s21=resp.s21.copy(),
-        s12=resp.s21.copy(),
-        s22=resp.s11.copy(),
-        z0_ohm=resp.z0_ohm,
-    )
+    return RawTwoPort(resp.grid, resp.s11, resp.s21, s12=resp.s21, s22=resp.s11, z0_ohm=resp.z0_ohm)
 
 
 def export_csv(resp: TwoPortResponse) -> str:

@@ -65,16 +65,24 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of values: the one way a validated type stores an array."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def _init_s_columns(port, names: tuple[str, ...]) -> None:
-    """Store port's named S columns as finite complex arrays, one entry per grid point; check z0."""
+    """Store port's named S columns as read-only complex copies, one entry per grid point,
+    finite for the life of the port; check z0."""
     n = len(port.grid)
     for name in names:
-        column = np.asarray(getattr(port, name), dtype=complex)
+        column = _read_only(getattr(port, name), complex)
         if column.shape != (n,):
             raise ValueError(f"{name} length must equal the grid length")
         if not np.isfinite(column).all():
             raise ValueError(f"{name} holds a non-finite value")
-        setattr(port, name, column)
+        object.__setattr__(port, name, column)
     _require_positive("z0_ohm", port.z0_ohm)
 
 
@@ -107,7 +115,7 @@ class FrequencyGrid:
     points_hz: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points_hz, dtype=float)
+        pts = _read_only(self.points_hz, float)
         object.__setattr__(self, "points_hz", pts)
         if pts.ndim != 1:
             raise ValueError("frequency grid must be one-dimensional")
@@ -160,7 +168,7 @@ class MaterialModel:
         0 < mu < inf and 0 <= alpha < inf; the first row that breaks a rule
         raises RowError with its 0-based index.
         """
-        table = tuple(np.array(c, dtype=float) for c in (f_hz, eps_rel, mu_rel, alpha_np_per_m))
+        table = tuple(_read_only(c, float) for c in (f_hz, eps_rel, mu_rel, alpha_np_per_m))
         f, eps, mu, alpha = table
         if f.ndim != 1 or any(c.shape != f.shape for c in table):
             raise ValueError("material columns must be one-dimensional and of equal length")
@@ -179,8 +187,6 @@ class MaterialModel:
                 ),
             ]
         )
-        for column in table:
-            column.flags.writeable = False
         self._f, self._eps, self._mu, self._alpha = table
 
     @classmethod
@@ -235,7 +241,7 @@ class MaterialModel:
         return eps, mu, alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoPortResponse:
     """Complex S11/S21 of a symmetric reciprocal two-port on a grid.
 

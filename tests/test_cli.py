@@ -377,19 +377,39 @@ def test_extract_corrupt_file_fails_with_flags(tmp_path, capsys):
     assert "point 0" in err
 
 
-def test_extract_refuses_overflowing_pair_average(tmp_path, capsys):
-    # S11 + S22 overflows when the pairs are averaged, and the averaged S11 is refused
+def _overflow_s2p(tmp_path, s22: str) -> Path:
+    """The 42 mm fixture with S11 = 1.5e308 and the given S22 on its first data line."""
     lines = MEAS42.read_text().splitlines()
     row = lines[2].split()
-    row[1] = row[7] = "1.5e308"
+    row[1], row[7] = "1.5e308", s22
     lines[2] = " ".join(row)
-    path = tmp_path / "overflow.s2p"
+    path = tmp_path / f"overflow_{s22}.s2p"
     path.write_text("\n".join(lines) + "\n")
-    argv = ["extract", str(path), "--length", "0.042", "--inner-d", str(G42["inner_d_m"]),
-            "--outer-d", str(G42["outer_d_m"]), "--out", str(tmp_path / "m.csv")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(capsys, argv) == (2, "", "error: s11 holds a non-finite value\n")
+    return path
+
+
+def _extract_argv(path, out) -> list[str]:
+    return ["extract", str(path), "--length", "0.042", "--inner-d", str(G42["inner_d_m"]),
+            "--outer-d", str(G42["outer_d_m"]), "--out", str(out)]
+
+
+def test_extract_refuses_overflowing_pair_average(tmp_path, capsys):
+    # S11 + S22 overflows when the pairs are averaged, and the averaged S11 is refused
+    argv = _extract_argv(_overflow_s2p(tmp_path, "1.5e308"), tmp_path / "m.csv")
+    assert run(capsys, argv) == (2, "", "error: s11 holds a non-finite value\n")
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_overflowing_pairs_print_no_numpy_warning(tmp_path):
+    # a fresh process shows what a user sees: numpy prints each RuntimeWarning to stderr
+    def stderr(argv):
+        return subprocess.run([sys.executable, "-m", "coaxfilt", *argv],
+                              capture_output=True, text=True).stderr
+
+    summed = _overflow_s2p(tmp_path, "1.5e308")
+    assert stderr(_extract_argv(summed, tmp_path / "m.csv")) == (
+        "error: s11 holds a non-finite value\n")
+    assert stderr(["check", str(_overflow_s2p(tmp_path, "-1.5e308"))]) == ""
 
 
 def test_predict_grid_outside_material(tmp_path, capsys):
@@ -675,6 +695,15 @@ def test_make_fixtures_reproduces_committed_bytes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "match the committed bytes" in result.stdout
+
+
+def test_readme_library_example_runs(capsys):
+    # the docs' example is run as written, so API drift fails here rather than in the README
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "False\n"
 
 
 def test_run_length_transfer_script_noisy():

@@ -175,6 +175,15 @@ def test_check_compliance_never_grades_a_nan_response():
     s11[0] = math.nan
     with pytest.raises(ValueError, match="s11 holds a non-finite value"):
         cf.TwoPortResponse(grid=resp.grid, s11=s11, s21=resp.s21)
+    # nor can a built one turn NaN: it holds a copy of the caller's array, so the -6 dB
+    # point still fails the -20 dB ceiling after the caller overwrites it with NaN
+    s11[0] = 0.5
+    held = cf.TwoPortResponse(grid=resp.grid, s11=s11, s21=resp.s21)
+    s11[0] = math.nan
+    report = cf.check_compliance(held)
+    assert not report.reflection_pass
+    assert (report.worst_reflection_db, report.worst_reflection_f_hz) == (
+        pytest.approx(20.0 * math.log10(0.5)), 1e9)
 
 
 def test_check_compliance_insufficient_points():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,13 @@ def test_grid_invariants():
     for bad in ([math.nan], [1e9, math.inf], [1e9, math.nan, 3e9]):
         with pytest.raises(ValueError, match="finite"):
             cf.FrequencyGrid(np.array(bad))
+    # the grid holds a read-only copy, so a later write to the caller's array cannot reach it
+    f = np.array([1e9, 2e9, 3e9, 4e9, 5e9])
+    grid = cf.FrequencyGrid(f)
+    f[2] = -1.0
+    assert grid.points_hz.tolist() == [1e9, 2e9, 3e9, 4e9, 5e9]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points_hz[0] = 1.0
     assert len(cf.FrequencyGrid.linear(1e7, 2e10, 11)) == 11
     assert cf.FrequencyGrid.linear(1e9, 5.0, 1).points_hz.tolist() == [1e9]
     # each end is refused by its own name before linspace, even where one point ignores the stop
@@ -389,3 +397,14 @@ def test_two_port_response_invariants():
                 columns[name][1] = bad
                 with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
                     cls(grid=grid, **columns)
+        # each column is a read-only copy and no field can be reassigned, so the port's
+        # columns stay as they were checked
+        columns = {n: np.full(3, 0.5 + 0.0j) for n in names}
+        port = cls(grid=grid, **columns)
+        for name in names:
+            columns[name][0] = math.nan
+            assert getattr(port, name).tolist() == [0.5 + 0.0j] * 3
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(port, name)[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(port, name, np.zeros(3))
