@@ -160,6 +160,12 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
                 "convert_stdout.txt",
                 ["convert_ma_mhz.s2p"],
             )
+            golden(
+                ["convert", str(golden_dir / "model_42mm.s2p"), "convert_db_hz.s2p",
+                 "--to", "db", "--unit", "hz"],
+                None,
+                ["convert_db_hz.s2p"],
+            )
 
             code, out = run_cli(["check", str(fixtures / "mismatch_65ohm.csv")])
             assert code == 6, (code, out)

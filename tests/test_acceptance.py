@@ -299,6 +299,9 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch, capsys):
             (["convert", str(GOLDEN / "model_42mm.s2p"), "convert_ma_mhz.s2p",
               "--to", "ma", "--unit", "mhz"],
              "convert_stdout.txt", ["convert_ma_mhz.s2p"]),
+            (["convert", str(GOLDEN / "model_42mm.s2p"), "convert_db_hz.s2p",
+              "--to", "db", "--unit", "hz"],
+             None, ["convert_db_hz.s2p"]),
         ]
         for argv, stdout_golden, file_goldens in cases:
             code = cli_main(argv)
