@@ -16,18 +16,21 @@ Touchstone f > 0, increasing f and a dB magnitude within float range.
 The earliest bad row is refused, for the first rule it breaks in that
 order, at its line as counted with blank and comment lines.
 
-The writers render every number as "%.12g" (12 significant digits) and
-build each output column once, then format whole rows through one row
-template. The MA/DB angle and dB columns still come from the `math`
-module one element at a time, because numpy's arctan2 and log10 are not
-bit-identical to math.atan2 and math.log10, and the last ulp can change
-a 12-digit field.
+The writers render every number as "%.12g" (12 significant digits). The
+CSV writers build each output column once, then format whole rows through
+one row template. write_s2p renders each distinct S column once, as one
+"%.12g %.12g" field per row keyed by the column's exact bytes, so a
+symmetric port (S12 = S21, S22 = S11) renders two columns, not four, and
+then joins the five fields of each row. The MA/DB angle and dB values
+still come from the `math` module one element at a time, because numpy's
+arctan2 and log10 are not bit-identical to math.atan2 and math.log10, and
+the last ulp can change a 12-digit field.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -59,11 +62,24 @@ class RawTwoPort:
         _init_s_columns(self, ("s11", "s21", "s12", "s22"))
 
 
-def _text(head: list[str], sep: str, columns: list[list[float]]) -> str:
-    """The head lines, then one line per row of the columns with every value
-    rendered as %.12g; LF-separated, with a final LF."""
-    row = sep.join(["%.12g"] * len(columns))
-    return "\n".join([*head, *(row % r for r in zip(*columns))]) + "\n"
+def _csv_rows(columns: list[list[float]]) -> Iterator[str]:
+    """One CSV line per row of the columns, every value rendered as %.12g."""
+    row = ",".join(["%.12g"] * len(columns))
+    return (row % r for r in zip(*columns))
+
+
+def _text(head: list[str], rows: Iterable[str]) -> str:
+    """The head lines, then the rows; LF-separated, with a final LF."""
+    return "\n".join([*head, *rows]) + "\n"
+
+
+def _pair_fields(fmt: str, s: np.ndarray) -> list[str]:
+    """Each value of an S column as one "%.12g %.12g" field: RI, MA or DB."""
+    if fmt == "ri":
+        pairs = zip(s.real.tolist(), s.imag.tolist())
+    else:
+        pairs = (_complex_to_pair(fmt, v) for v in s.tolist())
+    return ["%.12g %.12g" % p for p in pairs]
 
 
 def _pair_to_complex(fmt: str, a: float, b: float) -> complex:
@@ -208,7 +224,9 @@ def parse_s2p(text: str) -> RawTwoPort:
 def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
     """Serialize a RawTwoPort as Touchstone v1 text (12 significant digits).
 
-    Every value is finite, as RawTwoPort and FrequencyGrid hold no other.
+    Each distinct S column is rendered once, keyed by its exact bytes: a
+    column that repeats another bit for bit reuses its fields. Every value
+    is finite, as RawTwoPort and FrequencyGrid hold no other.
     """
     unit = unit.lower()
     fmt = fmt.lower()
@@ -217,29 +235,39 @@ def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
-    columns = [(raw.grid.points_hz / UNIT_TO_HZ[unit]).tolist()]
+    fields = [["%.12g" % f for f in (raw.grid.points_hz / UNIT_TO_HZ[unit]).tolist()]]
+    # a symmetric port repeats S21 as S12 and S11 as S22; the exact bytes, not ==,
+    # decide a repeat, since 0.0 == -0.0 but the two render differently
+    rendered: dict[bytes, list[str]] = {}
     for s in (raw.s11, raw.s21, raw.s12, raw.s22):
-        if fmt == "ri":
-            columns += [s.real.tolist(), s.imag.tolist()]
-        else:
-            pairs = [_complex_to_pair(fmt, v) for v in s.tolist()]
-            columns += [[a for a, _ in pairs], [b for _, b in pairs]]
+        key = s.tobytes()
+        if key not in rendered:
+            rendered[key] = _pair_fields(fmt, s)
+        fields.append(rendered[key])
     option = "# %s S %s R %.12g" % (unit.upper(), fmt.upper(), raw.z0_ohm)
-    return _text(["! coaxfilt two-port export", option], " ", columns)
+    return _text(["! coaxfilt two-port export", option], map(" ".join, zip(*fields)))
 
 
 def symmetrize(raw: RawTwoPort) -> tuple[TwoPortResponse, float]:
     """Average the reciprocal/symmetric pairs and report the worst asymmetry.
 
     Returns ((S11+S22)/2, (S21+S12)/2) as a TwoPortResponse plus
-    max over the grid of max(|S11-S22|, |S21-S12|).
+    max over the grid of max(|S11-S22|, |S21-S12|). Raises ValueError, naming
+    the pair and the first such frequency, where a difference is not finite:
+    its average could read as a perfect match.
     """
     # TwoPortResponse refuses an overflowed average by name; numpy need not warn of it too
     with np.errstate(over="ignore", invalid="ignore"):
         s11 = (raw.s11 + raw.s22) / 2.0
         s21 = (raw.s21 + raw.s12) / 2.0
-        asym = max(np.max(np.abs(d), initial=0.0) for d in (raw.s11 - raw.s22, raw.s21 - raw.s12))
-    return TwoPortResponse(grid=raw.grid, s11=s11, s21=s21, z0_ohm=raw.z0_ohm), float(asym)
+        gaps = np.abs([raw.s11 - raw.s22, raw.s21 - raw.s12])
+    bad = ~np.isfinite(gaps)
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        pair = "s11 and s22" if bad[0, k] else "s21 and s12"
+        raise ValueError(f"{pair} differ by a non-finite amount at {raw.grid.points_hz[k]:g} Hz")
+    resp = TwoPortResponse(grid=raw.grid, s11=s11, s21=s21, z0_ohm=raw.z0_ohm)
+    return resp, float(np.max(gaps, initial=0.0))
 
 
 def raw_from_response(resp: TwoPortResponse) -> RawTwoPort:
@@ -254,7 +282,7 @@ def export_csv(resp: TwoPortResponse) -> str:
     """
     f, s11, s21 = resp.grid.points_hz, resp.s11, resp.s21
     columns = [f, s11.real, s11.imag, s21.real, s21.imag, magnitude_db(s11), magnitude_db(s21)]
-    return _text([RESPONSE_CSV_HEADER], ",", [c.tolist() for c in columns])
+    return _text([RESPONSE_CSV_HEADER], _csv_rows([c.tolist() for c in columns]))
 
 
 def _read_csv(text: str, header: str, kind: str, build: Callable):
@@ -296,7 +324,7 @@ def response_from_csv(text: str, z0_ohm: float = 50.0) -> TwoPortResponse:
 
 
 def material_to_csv(mat: MaterialModel) -> str:
-    return _text([MATERIAL_CSV_HEADER], ",", [c.tolist() for c in mat.table])
+    return _text([MATERIAL_CSV_HEADER], _csv_rows([c.tolist() for c in mat.table]))
 
 
 def material_from_csv(text: str) -> MaterialModel:

@@ -409,7 +409,29 @@ def test_overflowing_pairs_print_no_numpy_warning(tmp_path):
     summed = _overflow_s2p(tmp_path, "1.5e308")
     assert stderr(_extract_argv(summed, tmp_path / "m.csv")) == (
         "error: s11 holds a non-finite value\n")
-    assert stderr(["check", str(_overflow_s2p(tmp_path, "-1.5e308"))]) == ""
+    assert stderr(["check", str(_overflow_s2p(tmp_path, "-1.5e308"))]) == _INFINITE_ASYMMETRY
+
+
+# S11 - S22 overflows while the average is 0, a perfect match at that point
+_INFINITE_ASYMMETRY = "error: s11 and s22 differ by a non-finite amount at 1e+08 Hz\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda path, out: _extract_argv(path, out),
+        lambda path, out: ["check", str(path)],
+        lambda path, out: ["predict", str(MAT_REF), "--length", "0.042",
+                           "--inner-d", str(G42["inner_d_m"]), "--outer-d", str(G42["outer_d_m"]),
+                           "--out", str(out), "--compare", str(path)],
+    ],
+    ids=["extract", "check", "predict-compare"],
+)
+def test_infinite_asymmetry_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(capsys, argv(_overflow_s2p(tmp_path, "-1.5e308"), out)) == (
+        2, "", _INFINITE_ASYMMETRY)
+    assert not out.exists()
 
 
 def test_predict_grid_outside_material(tmp_path, capsys):

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coaxfilt as cf
@@ -180,8 +180,10 @@ def test_write_parse_round_trip_property(fmt, unit, data):
 
 # ------------------------------------------------- byte-identity oracle
 #
-# The writers render whole columns through one "%.12g" row template. The
-# per-value writers below are the reference they must match byte for byte.
+# The CSV writers render whole columns through one "%.12g" row template;
+# write_s2p renders each distinct S column once and joins the fields of
+# each row. The per-value writers below are the reference they must match
+# byte for byte.
 
 
 _UNIT_TO_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -247,14 +249,31 @@ _complex = st.builds(complex, _component, _component)
 
 @st.composite
 def _responses(draw, max_size=12):
+    """Four independent columns, or a symmetric port (s12 = s21, s22 = s11), or
+    one that differs from symmetric in one entry by a signed zero or one ulp."""
     n = draw(st.integers(0, max_size))
     freqs = sorted(set(draw(st.lists(st.floats(1e3, 1e12), min_size=n, max_size=n))))
     column = st.lists(_complex, min_size=len(freqs), max_size=len(freqs))
-    return np.array(freqs), [np.array(draw(column), dtype=complex) for _ in range(4)]
+    s = [np.array(draw(column), dtype=complex) for _ in range(4)]
+    shape = draw(st.sampled_from(["independent", "symmetric", "near-symmetric"]))
+    if shape != "independent":
+        s[2], s[3] = s[1].copy(), s[0].copy()
+    if shape == "near-symmetric" and freqs:
+        copy, source = draw(st.sampled_from([(s[2], s[1]), (s[3], s[0])]))
+        i = draw(st.integers(0, len(freqs) - 1))
+        part = draw(st.sampled_from(["real", "imag"]))
+        if draw(st.booleans()):  # signed zero
+            getattr(source, part)[i] = 0.0
+            getattr(copy, part)[i] = -0.0
+        else:  # one ulp
+            x = getattr(source, part)[i]
+            getattr(copy, part)[i] = np.nextafter(x, draw(st.sampled_from([np.inf, -np.inf])))
+    return np.array(freqs), s
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=_responses(), z0=st.sampled_from([50.0, 75.0, 12.5, 1e-3]))
+@example(data=(np.array([]), [np.array([], dtype=complex)] * 4), z0=50.0)
 def test_writers_match_per_value_oracle(data, z0):
     freqs, (s11, s21, s12, s22) = data
     raw = _raw(freqs, s11, s21, s12=s12, s22=s22, z0=z0)
@@ -297,6 +316,26 @@ def test_symmetrize_averages_and_reports():
     resp, asym = cf.symmetrize(raw)
     assert resp.s11[0] == pytest.approx(0.3)
     assert asym == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "s11, s21, s12, s22, err",
+    [
+        # the differences overflow; the averages are 0, a perfect match
+        ([0, 0, 1.5e308], [0, 1.5e308, 0], [0, -1.5e308, 0], [0, 0, -1.5e308],
+         "s21 and s12 differ by a non-finite amount at 2e+09 Hz"),
+        ([0, 1.5e308, 0], [0, 1.5e308, 0], [0, -1.5e308, 0], [0, -1.5e308, 0],
+         "s11 and s22 differ by a non-finite amount at 2e+09 Hz"),
+        # a finite difference whose magnitude overflows
+        ([0, 0, 1.5e308 + 1.5e308j], [0, 0, 0], [0, 0, 0], [0, 0, 0],
+         "s11 and s22 differ by a non-finite amount at 3e+09 Hz"),
+    ],
+    ids=["s21-s12", "s11-s22", "magnitude-overflow"],
+)
+def test_symmetrize_refuses_infinite_asymmetry(s11, s21, s12, s22, err):
+    raw = _raw([1e9, 2e9, 3e9], s11, s21, s12=s12, s22=s22)
+    with pytest.raises(ValueError, match=f"^{err}$".replace("+", r"\+")):
+        cf.symmetrize(raw)
 
 
 @settings(max_examples=50, deadline=None)
