@@ -236,8 +236,7 @@ def write_s2p(raw: RawTwoPort, unit: str = "ghz", fmt: str = "ri") -> str:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
     fields = [["%.12g" % f for f in (raw.grid.points_hz / UNIT_TO_HZ[unit]).tolist()]]
-    # a symmetric port repeats S21 as S12 and S11 as S22; the exact bytes, not ==,
-    # decide a repeat, since 0.0 == -0.0 but the two render differently
+    # the exact bytes, not ==, decide a repeat: 0.0 == -0.0, but the two render differently
     rendered: dict[bytes, list[str]] = {}
     for s in (raw.s11, raw.s21, raw.s12, raw.s22):
         key = s.tobytes()

@@ -400,6 +400,10 @@ def test_extract_refuses_overflowing_pair_average(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+# S11 - S22 overflows while the average is 0, a perfect match at that point
+_INFINITE_ASYMMETRY = "error: s11 and s22 differ by a non-finite amount at 1e+08 Hz\n"
+
+
 def test_overflowing_pairs_print_no_numpy_warning(tmp_path):
     # a fresh process shows what a user sees: numpy prints each RuntimeWarning to stderr
     def stderr(argv):
@@ -412,14 +416,10 @@ def test_overflowing_pairs_print_no_numpy_warning(tmp_path):
     assert stderr(["check", str(_overflow_s2p(tmp_path, "-1.5e308"))]) == _INFINITE_ASYMMETRY
 
 
-# S11 - S22 overflows while the average is 0, a perfect match at that point
-_INFINITE_ASYMMETRY = "error: s11 and s22 differ by a non-finite amount at 1e+08 Hz\n"
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda path, out: _extract_argv(path, out),
+        _extract_argv,
         lambda path, out: ["check", str(path)],
         lambda path, out: ["predict", str(MAT_REF), "--length", "0.042",
                            "--inner-d", str(G42["inner_d_m"]), "--outer-d", str(G42["outer_d_m"]),
