@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import C0, ETA0
 from .errors import BranchAmbiguityError, ExtractionError, OpenCircuitError
-from .txline import CoaxGeometry, MaterialModel, TwoPortResponse
+from .txline import CoaxGeometry, MaterialModel, TwoPortResponse, _read_only
 
 # |S11| below this is treated as a perfectly matched point (Gamma = 0).
 _MATCHED_S11 = 1e-8
@@ -43,16 +43,14 @@ _CODE = {reason: code for code, reason in enumerate(REASONS)}
 class ExtractionReport:
     """Result of inverting one measured response.
 
-    The per-point columns (f_hz through branch_index) have one row per
-    frequency that reached material conversion: unflagged points and those
-    flagged negative-alpha or unphysical-material. Points refused by point
-    inversion, dropped for branch-ambiguity or at an open circuit have no
-    row. reason holds one REASONS code per grid point; flags maps the grid
-    indices of unusable points to their reason. material is built from the
-    unflagged points only.
+    Every per-point column (gamma_refl through reason) has one read-only
+    entry per grid point, NaN where its stage did not run: gamma and
+    branch_index (a float column) past the unwrap, z_ohm past the
+    open-circuit check. reason holds one REASONS code per point; flags maps
+    the grid indices of unusable points to their reason. material is built
+    from the unflagged points only.
     """
 
-    f_hz: np.ndarray
     gamma_refl: np.ndarray
     prop_factor: np.ndarray
     gamma: np.ndarray
@@ -60,6 +58,11 @@ class ExtractionReport:
     branch_index: np.ndarray
     reason: np.ndarray
     material: MaterialModel
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("gamma_refl", complex), ("prop_factor", complex), ("gamma", complex),
+                            ("z_ohm", complex), ("branch_index", float), ("reason", int)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
 
     @cached_property
     def flags(self) -> dict[int, str]:
@@ -271,7 +274,10 @@ def extract_material(
 
     f = measured.grid.points_hz
     n = f.size
+    if not n:
+        raise ValueError("measured response has no grid points")
     gamma_refl, prop_factor, reason = invert_points(measured.s11, measured.s21)
+    gamma, branch, z = np.full(n, np.nan, complex), np.full(n, np.nan), np.full(n, np.nan, complex)
 
     def refuse_if_unusable(any_left: bool) -> None:
         if np.count_nonzero(reason) > n / 2.0 or not any_left:
@@ -285,16 +291,15 @@ def extract_material(
         rows = np.flatnonzero(reason == 0)
         refuse_if_unusable(rows.size > 0)
         try:
-            gamma, branch = unwrap_gamma(f[rows], prop_factor[rows], geom.length_m)
+            gamma[rows], branch[rows] = unwrap_gamma(f[rows], prop_factor[rows], geom.length_m)
             break
         except BranchAmbiguityError as err:
             reason[np.searchsorted(f, err.f_hi)] = _CODE["branch-ambiguity"]
 
-    is_open = _open_circuit(gamma_refl[rows])
-    reason[rows[is_open]] = _CODE["open-circuit"]
-    rows, gamma, branch = rows[~is_open], gamma[~is_open], branch[~is_open]
-    z = impedance_from_reflection(gamma_refl[rows], measured.z0_ohm)
-    eps, mu, alpha, unphysical = material_from_points(gamma, z.real, geom, f[rows])
+    reason[rows[_open_circuit(gamma_refl[rows])]] = _CODE["open-circuit"]
+    rows = np.flatnonzero(reason == 0)
+    z[rows] = impedance_from_reflection(gamma_refl[rows], measured.z0_ohm)
+    eps, mu, alpha, unphysical = material_from_points(gamma[rows], z[rows].real, geom, f[rows])
     # negative-alpha is written last, so it wins where both apply
     reason[rows[unphysical]] = _CODE["unphysical-material"]
     reason[rows[alpha < 0.0]] = _CODE["negative-alpha"]
@@ -306,8 +311,7 @@ def extract_material(
     material = MaterialModel(
         f[rows[good]], *(moving_median(c[good], smooth_window) for c in (eps, mu, alpha))
     )
-    return ExtractionReport(f[rows], gamma_refl[rows], prop_factor[rows], gamma, z, branch,
-                            reason, material)
+    return ExtractionReport(gamma_refl, prop_factor, gamma, z, branch, reason, material)
 
 
 def _flag_map(reason: np.ndarray) -> dict[int, str]:

@@ -377,6 +377,15 @@ def test_extract_corrupt_file_fails_with_flags(tmp_path, capsys):
     assert "point 0" in err
 
 
+def test_extract_empty_grid_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "empty.s2p"
+    path.write_text("# GHZ S RI R 50\n")
+    argv = ["extract", str(path), "--length", "0.042", "--inner-d", "0.0051",
+            "--outer-d", "0.008", "--out", str(tmp_path / "m.csv")]
+    assert run(capsys, argv) == (2, "", "error: measured response has no grid points\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def _overflow_s2p(tmp_path, s22: str) -> Path:
     """The 42 mm fixture with S11 = 1.5e308 and the given S22 on its first data line."""
     lines = MEAS42.read_text().splitlines()

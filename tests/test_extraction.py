@@ -462,10 +462,40 @@ def test_extract_material_flag_map_reaches_every_reason():
     resp = _every_reason_response(1)
     report = cf.extract_material(resp, geom)
     assert report.flags == _EVERY_REASON
-    kept = [0, 1, 3, 4, 7, 9, 12, 13, 14, 15]  # only converted points are listed
-    assert report.f_hz.tolist() == resp.grid.points_hz[kept].tolist()
+    kept = [0, 1, 3, 4, 7, 9, 12, 13, 14, 15]  # only converted points have an impedance
+    assert np.flatnonzero(~np.isnan(report.z_ohm)).tolist() == kept
     unflagged = [i for i in kept if i not in _EVERY_REASON]
     assert report.material.table[0].tolist() == resp.grid.points_hz[unflagged].tolist()
+
+    # every column is on the grid's index, NaN where its stage did not run
+    columns = (report.gamma_refl, report.prop_factor, report.gamma, report.z_ohm,
+               report.branch_index, report.reason)
+    assert [c.shape for c in columns] == [(len(resp.grid),)] * len(columns)
+    stages = (report.gamma, report.branch_index, report.z_ohm)
+    reached = {"": (True, True, True), "unphysical-material": (True, True, True),
+               "negative-alpha": (True, True, True), "open-circuit": (True, True, False)}
+    for i in range(len(resp.grid)):
+        reason = _EVERY_REASON.get(i, "")
+        assert tuple(bool(np.isfinite(c[i])) for c in stages) == reached.get(
+            reason, (False, False, False)), (i, reason)
+    # -1 is a real winding, not a missing value
+    assert report.branch_index[[7, 9, 12, 14, 15]].tolist() == [-1.0] * 5
+
+
+def test_extraction_report_columns_are_read_only():
+    geom = cf.CoaxGeometry(0.042, INNER_D, OUTER_D)
+    report = cf.extract_material(_every_reason_response(1), geom)
+    for name in ("gamma_refl", "prop_factor", "gamma", "z_ohm", "branch_index", "reason"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(report, name)[5] = 3
+    # so flags cannot disagree with reason, whichever is read first
+    assert report.flags == _EVERY_REASON
+
+
+def test_extract_material_refuses_empty_grid():
+    empty = cf.symmetrize(cf.parse_s2p("# GHZ S RI R 50\n"))[0]
+    with pytest.raises(ValueError, match="^measured response has no grid points$"):
+        cf.extract_material(empty, cf.CoaxGeometry(0.042, INNER_D, OUTER_D))
 
 
 def test_extract_material_smoothing_reduces_noise():
