@@ -10,6 +10,9 @@ bytes exactly. Run from the repository root:
 `--check` writes into a temporary directory, byte-compares the result
 against the committed files, names each file that differs (or exists on
 one side only) and exits 1 if any does.
+
+GOLDEN_RUNS is the one statement of the golden CLI runs; acceptance
+criterion 9 and CI replay it against the committed goldens.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +40,56 @@ GOLDEN = ROOT / "tests" / "golden"
 LENGTH_42 = 0.042
 LENGTH_36 = 0.036
 
+MATERIAL = reference_material(1.0, LENGTH_42)
+G42 = matched_geometry(LENGTH_42, MATERIAL)
+G36 = matched_geometry(LENGTH_36, MATERIAL)
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli_main(argv)
-    return code, buf.getvalue()
+
+class GoldenRun(NamedTuple):
+    """One pinned CLI run: argv ({fixtures} and {golden} stand for the two
+    directories), its exit code, the golden holding its stdout (None if
+    not kept) and the output files kept as goldens of the same name."""
+
+    argv: list[str]
+    code: int
+    stdout: str | None
+    outputs: list[str]
+
+
+# Every golden CLI output is produced here, in order: the check and convert
+# runs read model_42mm.csv and model_42mm.s2p from the golden directory.
+# Output names are bare, so the echoed "wrote <path>" lines do not depend
+# on where the runs happen.
+GOLDEN_RUNS = [
+    GoldenRun(["model", "{fixtures}/design_42mm.json", "--out", "model_42mm.csv"],
+              0, "model_stdout.txt", ["model_42mm.csv"]),
+    GoldenRun(["model", "{fixtures}/design_42mm.json", "--out", "model_42mm.s2p"],
+              0, None, ["model_42mm.s2p"]),
+    GoldenRun(["extract", "{fixtures}/meas_42mm.s2p", "--length", "0.042",
+               "--inner-d", str(G42.inner_d_m), "--outer-d", str(G42.outer_d_m),
+               "--out", "extract_material.csv"],
+              0, "extract_stdout.txt", ["extract_material.csv"]),
+    GoldenRun(["predict", "{fixtures}/material_ref.csv", "--length", "0.036",
+               "--inner-d", str(G36.inner_d_m), "--outer-d", str(G36.outer_d_m),
+               "--grid", "1e9:2e10:21", "--out", "predict_36mm.csv"],
+              0, "predict_stdout.txt", ["predict_36mm.csv"]),
+    GoldenRun(["synth", "{fixtures}/material_ref.csv", "--target-z", "50",
+               "--slope-db-per-ghz", "1.0", "--f-ref", "1e9"],
+              0, "synth_stdout.txt", []),
+    GoldenRun(["check", "{golden}/model_42mm.csv"], 0, "check_stdout_pass.txt", []),
+    GoldenRun(["check", "{fixtures}/mismatch_65ohm.csv"], 6, "check_stdout_fail.txt", []),
+    GoldenRun(["convert", "{golden}/model_42mm.s2p", "convert_ma_mhz.s2p",
+               "--to", "ma", "--unit", "mhz"],
+              0, "convert_stdout.txt", ["convert_ma_mhz.s2p"]),
+    GoldenRun(["convert", "{golden}/model_42mm.s2p", "convert_db_hz.s2p",
+               "--to", "db", "--unit", "hz"],
+              0, None, ["convert_db_hz.s2p"]),
+]
+
+
+def golden_argv(argv: list[str], fixtures: Path, golden_dir: Path) -> list[str]:
+    """argv with its {fixtures} and {golden} placeholders filled in."""
+    return [a.format(fixtures=fixtures, golden=golden_dir) for a in argv]
 
 
 def generate(fixtures: Path, golden_dir: Path) -> None:
@@ -49,20 +97,18 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
     fixtures.mkdir(parents=True, exist_ok=True)
     golden_dir.mkdir(parents=True, exist_ok=True)
 
-    mat = reference_material(1.0, LENGTH_42)
-    g42 = matched_geometry(LENGTH_42, mat)
-    g36 = matched_geometry(LENGTH_36, mat)
-
     # --- fixtures -----------------------------------------------------
     fields = cf.MaterialSample._fields  # the MaterialModel.table columns
     design = {
         "geometry": {
             "length_m": LENGTH_42,
-            "inner_d_m": g42.inner_d_m,
-            "outer_d_m": g42.outer_d_m,
+            "inner_d_m": G42.inner_d_m,
+            "outer_d_m": G42.outer_d_m,
         },
         "material": {
-            "samples": [dict(zip(fields, row)) for row in zip(*(c.tolist() for c in mat.table))]
+            "samples": [
+                dict(zip(fields, row)) for row in zip(*(c.tolist() for c in MATERIAL.table))
+            ]
         },
         "z0_ohm": 50.0,
         "grid": {"f_start_hz": 1e9, "f_stop_hz": 2e10, "n_points": 21, "spacing": "linear"},
@@ -74,11 +120,11 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
         },
     }
     (fixtures / "design_42mm.json").write_text(json.dumps(design, indent=2) + "\n")
-    (fixtures / "material_ref.csv").write_text(cf.material_to_csv(mat))
+    (fixtures / "material_ref.csv").write_text(cf.material_to_csv(MATERIAL))
 
     meas_grid = cf.FrequencyGrid.linear(1e8, 2e10, 201)
-    for geom, name in ((g42, "meas_42mm.s2p"), (g36, "meas_36mm.s2p")):
-        resp = cf.s_params_model(geom, mat, meas_grid, 50.0)
+    for geom, name in ((G42, "meas_42mm.s2p"), (G36, "meas_36mm.s2p")):
+        resp = cf.s_params_model(geom, MATERIAL, meas_grid, 50.0)
         (fixtures / name).write_text(cf.write_s2p(cf.raw_from_response(resp)))
 
     # gain-like corrupted file: every point violates passivity
@@ -100,76 +146,20 @@ def generate(fixtures: Path, golden_dir: Path) -> None:
     (fixtures / "mismatch_65ohm.csv").write_text(cf.export_csv(mis_resp))
 
     # --- golden CLI outputs -------------------------------------------
-    # Commands run from a scratch directory with bare output names so the
-    # echoed "wrote <path>" lines stay location-independent.
     with tempfile.TemporaryDirectory() as tmp:
         old_cwd = Path.cwd()
         os.chdir(tmp)
         try:
-            def golden(cmd: list[str], stdout_name: str | None, outputs: list[str]):
-                code, out = run_cli(cmd)
-                assert code == 0, (cmd, code, out)
-                if stdout_name:
-                    (golden_dir / stdout_name).write_text(out)
-                for name in outputs:
+            for run in GOLDEN_RUNS:
+                argv = golden_argv(run.argv, fixtures, golden_dir)
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    code = cli_main(argv)
+                assert code == run.code, (argv, code, buf.getvalue())
+                if run.stdout:
+                    (golden_dir / run.stdout).write_text(buf.getvalue())
+                for name in run.outputs:
                     shutil.copyfile(Path(tmp) / name, golden_dir / name)
-
-            golden(
-                ["model", str(fixtures / "design_42mm.json"), "--out", "model_42mm.csv"],
-                "model_stdout.txt",
-                ["model_42mm.csv"],
-            )
-            golden(
-                ["model", str(fixtures / "design_42mm.json"), "--out", "model_42mm.s2p"],
-                None,
-                ["model_42mm.s2p"],
-            )
-            golden(
-                [
-                    "extract", str(fixtures / "meas_42mm.s2p"),
-                    "--length", "0.042",
-                    "--inner-d", str(g42.inner_d_m), "--outer-d", str(g42.outer_d_m),
-                    "--out", "extract_material.csv",
-                ],
-                "extract_stdout.txt",
-                ["extract_material.csv"],
-            )
-            golden(
-                [
-                    "predict", str(fixtures / "material_ref.csv"),
-                    "--length", "0.036",
-                    "--inner-d", str(g36.inner_d_m), "--outer-d", str(g36.outer_d_m),
-                    "--grid", "1e9:2e10:21",
-                    "--out", "predict_36mm.csv",
-                ],
-                "predict_stdout.txt",
-                ["predict_36mm.csv"],
-            )
-            golden(
-                [
-                    "synth", str(fixtures / "material_ref.csv"),
-                    "--target-z", "50", "--slope-db-per-ghz", "1.0", "--f-ref", "1e9",
-                ],
-                "synth_stdout.txt",
-                [],
-            )
-            golden(["check", str(golden_dir / "model_42mm.csv")], "check_stdout_pass.txt", [])
-            golden(
-                ["convert", str(golden_dir / "model_42mm.s2p"), "convert_ma_mhz.s2p",
-                 "--to", "ma", "--unit", "mhz"],
-                "convert_stdout.txt",
-                ["convert_ma_mhz.s2p"],
-            )
-            golden(
-                ["convert", str(golden_dir / "model_42mm.s2p"), "convert_db_hz.s2p",
-                 "--to", "db", "--unit", "hz"],
-                None,
-                ["convert_db_hz.s2p"],
-            )
-
-            code, out = run_cli(["check", str(fixtures / "mismatch_65ohm.csv")])
-            assert code == 6, (code, out)
-            (golden_dir / "check_stdout_fail.txt").write_text(out)
         finally:
             os.chdir(old_cwd)
 

@@ -12,12 +12,11 @@ length, predict any other.
 """
 
 import argparse
-import math
 
 import numpy as np
 
 import coaxfilt as cf
-from reference_filter import matched_geometry, reference_material
+from reference_filter import matched_geometry, noisy_measurement, reference_material
 
 
 def main() -> int:
@@ -39,21 +38,7 @@ def main() -> int:
 
     measured = cf.s_params_model(g_cal, mat, grid, 50.0)
     if args.noise > 0.0:
-        rng = np.random.default_rng(args.seed)
-
-        def noise():
-            return args.noise * (
-                rng.standard_normal(args.n_points) + 1j * rng.standard_normal(args.n_points)
-            ) / math.sqrt(2.0)
-
-        raw = cf.RawTwoPort(
-            grid=grid,
-            s11=measured.s11 + noise(),
-            s21=measured.s21 + noise(),
-            s12=measured.s21 + noise(),
-            s22=measured.s11 + noise(),
-            z0_ohm=50.0,
-        )
+        raw = noisy_measurement(measured, args.noise, np.random.default_rng(args.seed))
         measured, asym = cf.symmetrize(raw)
         print(f"noise sigma = {args.noise:g}, asymmetry_max = {asym:.4g}")
 

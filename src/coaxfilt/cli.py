@@ -169,27 +169,23 @@ def _cmd_predict(args) -> int:
         grid, z0 = _parse_grid_spec(args.grid or _DEFAULT_GRID_SPEC), 50.0
 
     resp = s_params_model(geom, material, grid, z0_ohm=z0 if args.z0 is None else args.z0)
-    _write_response(resp, args.out)
-    print(f"predicted {len(grid)} points for length {geom.length_m:g} m")
-    print(f"wrote {args.out}")
-
+    lines = [f"predicted {len(grid)} points for length {geom.length_m:g} m", f"wrote {args.out}"]
+    max_rel = 0.0
+    # compared before the write, so a refused comparison file leaves no --out behind
     if measured is not None:
         meas_mag = np.abs(measured.s21)
-        pred_mag = np.abs(resp.s21)
         usable = meas_mag > 0.0
         if not np.any(usable):
             raise ValueError("comparison file has no nonzero |S21| points")
-        rel = np.abs(pred_mag[usable] - meas_mag[usable]) / meas_mag[usable]
+        rel = np.abs(np.abs(resp.s21)[usable] - meas_mag[usable]) / meas_mag[usable]
         max_rel = float(np.max(rel))
-        mean_rel = float(np.mean(rel))
-        print(f"max relative |S21| deviation: {100.0 * max_rel:.4g}%")
-        print(f"mean relative |S21| deviation: {100.0 * mean_rel:.4g}%")
-        if max_rel > args.tol:
-            print(
-                f"deviation exceeds tolerance ({100.0 * args.tol:.4g}%)",
-                file=sys.stderr,
-            )
-            return EXIT_PREDICTION
+        lines.append(f"max relative |S21| deviation: {100.0 * max_rel:.4g}%")
+        lines.append(f"mean relative |S21| deviation: {100.0 * float(np.mean(rel)):.4g}%")
+    _write_response(resp, args.out)
+    print("\n".join(lines))
+    if max_rel > args.tol:
+        print(f"deviation exceeds tolerance ({100.0 * args.tol:.4g}%)", file=sys.stderr)
+        return EXIT_PREDICTION
     return EXIT_OK
 
 

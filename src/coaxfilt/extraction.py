@@ -187,10 +187,11 @@ def unwrap_gamma(f_hz, p, length_m: float) -> tuple[np.ndarray, np.ndarray]:
     unwrapped = np.concatenate(([phase[0]], phase[0] + np.cumsum(wrapped)))
 
     branch = np.rint((unwrapped - phase) / (2.0 * np.pi)).astype(int)
-    re = -np.log(np.abs(p)) / length_m
-    re = np.where((re > -_ALPHA_CLAMP) & (re < 0.0), 0.0, re)
-    im = -unwrapped / length_m
-    return re + 1j * im, branch
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny length_m overflows to inf or NaN
+        re = -np.log(np.abs(p)) / length_m
+        re = np.where((re > -_ALPHA_CLAMP) & (re < 0.0), 0.0, re)
+        im = -unwrapped / length_m
+        return re + 1j * im, branch
 
 
 def _open_circuit(gamma_refl: np.ndarray) -> np.ndarray:
@@ -216,17 +217,19 @@ def material_from_points(gamma, z_ohm, geom: CoaxGeometry, f_hz):
     impedance formula recovers sqrt(mu/eps); their product and ratio
     separate mu and eps. alpha is Re(gamma) directly. Returns
     (eps_rel, mu_rel, alpha_np_per_m, unphysical): unphysical marks
-    entries with n <= 0, w <= 0 or eps below 1 - 1e-9, whose values are
-    meaningless. eps in [1 - 1e-9, 1) is rounded up to exactly 1, a
-    rounding guard for exactly-vacuum data.
+    entries with n <= 0, w <= 0, eps below 1 - 1e-9 or a non-finite eps,
+    mu or alpha, whose values are meaningless. eps in [1 - 1e-9, 1) is
+    rounded up to exactly 1, a rounding guard for exactly-vacuum data.
     """
     gamma = np.asarray(gamma, dtype=complex)
-    n = gamma.imag * C0 / (2.0 * np.pi * np.asarray(f_hz, dtype=float))
-    w = 2.0 * np.pi * np.asarray(z_ohm, dtype=float) / (ETA0 * geom.log_diameter_ratio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps = n / w
-    unphysical = ~((n > 0.0) & (w > 0.0) & (eps >= 1.0 - 1e-9))
-    return np.maximum(eps, 1.0), n * w, gamma.real, unphysical
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n = gamma.imag * C0 / (2.0 * np.pi * np.asarray(f_hz, dtype=float))
+        w = 2.0 * np.pi * np.asarray(z_ohm, dtype=float) / (ETA0 * geom.log_diameter_ratio)
+        eps, mu = n / w, n * w
+    alpha = gamma.real
+    finite = np.isfinite(eps) & np.isfinite(mu) & np.isfinite(alpha)
+    unphysical = ~((n > 0.0) & (w > 0.0) & (eps >= 1.0 - 1e-9) & finite)
+    return np.maximum(eps, 1.0), mu, alpha, unphysical
 
 
 def moving_median(values: np.ndarray, window: int) -> np.ndarray:

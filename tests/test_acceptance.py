@@ -6,7 +6,6 @@ asserted exactly as stated; nothing here is calibrated after the fact.
 """
 
 import json
-import math
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -18,6 +17,8 @@ import coaxfilt as cf
 from coaxfilt.cli import main as cli_main
 
 from conftest import matched_material_and_geoms
+from make_fixtures import GOLDEN_RUNS, golden_argv
+from reference_filter import noisy_measurement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -157,24 +158,10 @@ def test_criterion_5_noise_monte_carlo():
         truth36 = cf.s_params_model(g36, mat, grid, 50.0)
 
         rng = np.random.default_rng(505)
-        sigma = 0.01
-        n = len(f)
-
-        def noise():
-            # complex standard deviation sigma per S-parameter
-            return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-
         t0 = time.perf_counter()
         max_rel_errors = []
         for _ in range(200):
-            raw = cf.RawTwoPort(
-                grid=grid,
-                s11=resp42.s11 + noise(),
-                s21=resp42.s21 + noise(),
-                s12=resp42.s21 + noise(),
-                s22=resp42.s11 + noise(),
-                z0_ohm=50.0,
-            )
+            raw = noisy_measurement(resp42, 0.01, rng)
             sym, _ = cf.symmetrize(raw)
             report = cf.extract_material(sym, g42, smooth_window=21)
             m = report.material
@@ -278,41 +265,19 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch, capsys):
         doc = json.loads(design.read_text())
         geom = doc["geometry"]
 
-        # golden byte-identity for all six subcommands
+        # every golden run, replayed from the table that generated it
         monkeypatch.chdir(tmp_path)
-        cases = [
-            (["model", str(design), "--out", "model_42mm.csv"],
-             "model_stdout.txt", ["model_42mm.csv"]),
-            (["model", str(design), "--out", "model_42mm.s2p"], None, ["model_42mm.s2p"]),
-            (["extract", str(FIXTURES / "meas_42mm.s2p"), "--length", "0.042",
-              "--inner-d", str(geom["inner_d_m"]), "--outer-d", str(geom["outer_d_m"]),
-              "--out", "extract_material.csv"],
-             "extract_stdout.txt", ["extract_material.csv"]),
-            (["predict", str(FIXTURES / "material_ref.csv"), "--length", "0.036",
-              "--inner-d", str(geom["inner_d_m"]), "--outer-d", str(geom["outer_d_m"]),
-              "--grid", "1e9:2e10:21", "--out", "predict_36mm.csv"],
-             "predict_stdout.txt", ["predict_36mm.csv"]),
-            (["synth", str(FIXTURES / "material_ref.csv"), "--target-z", "50",
-              "--slope-db-per-ghz", "1.0", "--f-ref", "1e9"],
-             "synth_stdout.txt", []),
-            (["check", str(GOLDEN / "model_42mm.csv")], "check_stdout_pass.txt", []),
-            (["convert", str(GOLDEN / "model_42mm.s2p"), "convert_ma_mhz.s2p",
-              "--to", "ma", "--unit", "mhz"],
-             "convert_stdout.txt", ["convert_ma_mhz.s2p"]),
-            (["convert", str(GOLDEN / "model_42mm.s2p"), "convert_db_hz.s2p",
-              "--to", "db", "--unit", "hz"],
-             None, ["convert_db_hz.s2p"]),
-        ]
-        for argv, stdout_golden, file_goldens in cases:
+        for run in GOLDEN_RUNS:
+            argv = golden_argv(run.argv, FIXTURES, GOLDEN)
             code = cli_main(argv)
-            out = capsys.readouterr().out
-            assert code == 0, argv
-            if stdout_golden:
-                assert out == (GOLDEN / stdout_golden).read_text(), argv
-            for name in file_goldens:
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (run.code, ""), argv
+            if run.stdout:
+                assert captured.out == (GOLDEN / run.stdout).read_text(), argv
+            for name in run.outputs:
                 assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
-        # exit-code table: 0 covered above; 2, 3, 4, 5, 6 from real inputs
+        # exit-code table: 0 and 6 covered by the golden runs; 2, 3, 4, 5 from real inputs
         bad_design = tmp_path / "bad.json"
         broken = json.loads(design.read_text())
         del broken["geometry"]["length_m"]
@@ -335,8 +300,6 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch, capsys):
             cf.MaterialModel([1e7, 2e10], [4.0, 4.0], [1.0, 1.0], [30.0, 30.0])
         ))
         assert cli_main(["synth", str(const_mat), "--slope-db-per-ghz", "1"]) == 5
-
-        assert cli_main(["check", str(FIXTURES / "mismatch_65ohm.csv")]) == 6
         capsys.readouterr()
 
         # full pipeline on 2001 points: model -> extract -> predict+compare

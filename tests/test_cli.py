@@ -9,6 +9,7 @@ import pytest
 
 import coaxfilt as cf
 from coaxfilt.cli import main
+from reference_filter import noisy_measurement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,97 +29,7 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-# ------------------------------------------------------------- golden runs
-
-
-def test_model_golden_csv(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, ["model", str(DESIGN), "--out", "model_42mm.csv"])
-    assert code == 0
-    assert err == ""
-    assert out == (GOLDEN / "model_stdout.txt").read_text()
-    assert (tmp_path / "model_42mm.csv").read_bytes() == (GOLDEN / "model_42mm.csv").read_bytes()
-
-
-def test_model_golden_s2p(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, ["model", str(DESIGN), "--out", "model_42mm.s2p"])
-    assert code == 0
-    assert (tmp_path / "model_42mm.s2p").read_bytes() == (GOLDEN / "model_42mm.s2p").read_bytes()
-
-
-def test_extract_golden(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(
-        capsys,
-        [
-            "extract", str(MEAS42),
-            "--length", "0.042",
-            "--inner-d", str(G42["inner_d_m"]), "--outer-d", str(G42["outer_d_m"]),
-            "--out", "extract_material.csv",
-        ],
-    )
-    assert code == 0
-    assert err == ""
-    assert out == (GOLDEN / "extract_stdout.txt").read_text()
-    assert (tmp_path / "extract_material.csv").read_bytes() == (
-        GOLDEN / "extract_material.csv"
-    ).read_bytes()
-
-
-def test_predict_golden(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(
-        capsys,
-        [
-            "predict", str(MAT_REF),
-            "--length", "0.036",
-            "--inner-d", str(G42["inner_d_m"]), "--outer-d", str(G42["outer_d_m"]),
-            "--grid", "1e9:2e10:21",
-            "--out", "predict_36mm.csv",
-        ],
-    )
-    assert code == 0
-    assert out == (GOLDEN / "predict_stdout.txt").read_text()
-    assert (tmp_path / "predict_36mm.csv").read_bytes() == (
-        GOLDEN / "predict_36mm.csv"
-    ).read_bytes()
-
-
-def test_synth_golden(capsys):
-    code, out, _ = run(
-        capsys,
-        ["synth", str(MAT_REF), "--target-z", "50", "--slope-db-per-ghz", "1.0",
-         "--f-ref", "1e9"],
-    )
-    assert code == 0
-    assert out == (GOLDEN / "synth_stdout.txt").read_text()
-
-
-def test_check_golden_pass(capsys):
-    code, out, _ = run(capsys, ["check", str(GOLDEN / "model_42mm.csv")])
-    assert code == 0
-    assert out == (GOLDEN / "check_stdout_pass.txt").read_text()
-
-
-def test_check_golden_fail(capsys):
-    code, out, _ = run(capsys, ["check", str(FIXTURES / "mismatch_65ohm.csv")])
-    assert code == 6
-    assert out == (GOLDEN / "check_stdout_fail.txt").read_text()
-
-
-def test_convert_golden(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(
-        capsys,
-        ["convert", str(GOLDEN / "model_42mm.s2p"), "convert_ma_mhz.s2p",
-         "--to", "ma", "--unit", "mhz"],
-    )
-    assert code == 0
-    assert out == (GOLDEN / "convert_stdout.txt").read_text()
-    assert (tmp_path / "convert_ma_mhz.s2p").read_bytes() == (
-        GOLDEN / "convert_ma_mhz.s2p"
-    ).read_bytes()
+# ------------------------------------------------------------- determinism
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
@@ -386,6 +297,20 @@ def test_extract_empty_grid_is_invalid_input(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("length", ["1e-300", "1e-310"])
+def test_extract_tiny_length_flags_unphysical_material(tmp_path, length, capsys):
+    # eps, mu or alpha overflow to inf or NaN: flagged points, not a refused table row
+    code, _, err = run(
+        capsys,
+        ["extract", str(MEAS42), "--length", length, "--inner-d", str(G42["inner_d_m"]),
+         "--outer-d", str(G42["outer_d_m"]), "--out", str(tmp_path / "m.csv")],
+    )
+    assert code == 3
+    assert err.startswith("error: ") and "unusable: unphysical-material x" in err
+    assert "Warning" not in err and "row" not in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def _overflow_s2p(tmp_path, s22: str) -> Path:
     """The 42 mm fixture with S11 = 1.5e308 and the given S22 on its first data line."""
     lines = MEAS42.read_text().splitlines()
@@ -523,33 +448,27 @@ def test_predict_tiny_tol_fails(tmp_path, capsys):
     assert code == 4
 
 
+def test_predict_refused_compare_file_leaves_no_output(tmp_path, capsys):
+    empty = tmp_path / "empty.s2p"
+    empty.write_text("# GHZ S RI R 50\n")
+    code, out, err = run(
+        capsys,
+        ["predict", str(MAT_REF), "--length", "0.036", "--inner-d", "0.0051",
+         "--outer-d", "0.008", "--compare", str(empty), "--out", str(tmp_path / "p.csv")],
+    )
+    assert (code, out, err) == (2, "", "error: comparison file has no nonzero |S21| points\n")
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_noisy_extract_predict_pipeline(tmp_path, capsys):
     # measurement noise at extraction stays within a few percent of the
     # noiseless cross-length truth once the median smoother is on
-    import math
-
-    import numpy as np
-
-    rng = np.random.default_rng(99)
     mat = cf.material_from_csv(MAT_REF.read_text())
     g42 = cf.CoaxGeometry(0.042, G42["inner_d_m"], G42["outer_d_m"])
     g36 = cf.CoaxGeometry(0.036, G42["inner_d_m"], G42["outer_d_m"])
     grid = cf.FrequencyGrid.linear(1e7, 2e10, 2001)
     clean42 = cf.s_params_model(g42, mat, grid, 50.0)
-
-    def noise():
-        return 0.01 * (
-            rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
-        ) / math.sqrt(2.0)
-
-    noisy = cf.RawTwoPort(
-        grid=grid,
-        s11=clean42.s11 + noise(),
-        s21=clean42.s21 + noise(),
-        s12=clean42.s21 + noise(),
-        s22=clean42.s11 + noise(),
-        z0_ohm=50.0,
-    )
+    noisy = noisy_measurement(clean42, 0.01, np.random.default_rng(99))
     meas_path = tmp_path / "noisy42.s2p"
     meas_path.write_text(cf.write_s2p(noisy))
     # noise can flag the few lowest points as negative-loss, so the
@@ -737,13 +656,17 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out == "False\n"
 
 
-def test_run_length_transfer_script_noisy():
+@pytest.mark.parametrize(
+    "flags, max_error_pct",
+    [([], 1e-6), (["--noise", "0.01", "--smooth-window", "21"], 5.0)],
+    ids=["noiseless", "sigma-0.01"],
+)
+def test_run_length_transfer_script_noisy(flags, max_error_pct):
     script = Path(__file__).parent.parent / "scripts" / "run_length_transfer.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--noise", "0.01", "--smooth-window", "21"],
-        capture_output=True, text=True,
+        [sys.executable, str(script), *flags], capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "prediction 42 mm -> 36 mm" in result.stdout
     max_line = next(l for l in result.stdout.splitlines() if "max  relative" in l)
-    assert float(max_line.split(":")[1].rstrip("%")) < 5.0
+    assert float(max_line.split(":")[1].rstrip("%")) < max_error_pct

@@ -338,10 +338,13 @@ def test_material_from_point_unphysical():
         (1.0 + 5.0e3j, -50.0),  # negative Z
         (1.0 + 5.0e3j, 0.0),  # zero Z
         (0.0 + 0.05j, 500.0),  # eps far below 1: huge apparent sqrt(mu/eps) at tiny sqrt(eps*mu)
+        (1.0 + 1e308j, 50.0),  # n overflows, so eps and mu are inf
+        (math.nan + 50.0j, 50.0),  # NaN alpha beside a physical eps and mu
+        (math.inf + 50.0j, 50.0),  # infinite alpha
         (0.0 + 50.0j, 50.0),  # physical, eps about 1.3
     )
-    *_, unphysical = cf.material_from_points(gamma, z, geom, [1e9] * 5)
-    assert unphysical.tolist() == [True, True, True, True, False]
+    *_, unphysical = cf.material_from_points(gamma, z, geom, [1e9] * 8)
+    assert unphysical.tolist() == [True] * 7 + [False]
 
 
 # ----------------------------------------------------------- extraction
