@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per release criterion.
+"""Acceptance suite: one test per release criterion (criterion 9 also has
+one test per golden run).
 
 Each test prints a single [criterion N] PASS/FAIL line ending in its wall
 time (visible with pytest -s). Tolerances and runtime budgets are
@@ -259,23 +260,29 @@ def test_criterion_8_touchstone_fidelity():
             assert f"line {line_no}:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "run", GOLDEN_RUNS, ids=[(run.outputs or [run.stdout])[0] for run in GOLDEN_RUNS]
+)
+def test_criterion_9_golden_run(run, tmp_path, monkeypatch, capsys):
+    """Each golden run, replayed from the table that generated it."""
+    with _criterion(9, f"golden run {' '.join(run.argv[:2])}"):
+        monkeypatch.chdir(tmp_path)
+        argv = golden_argv(run.argv, FIXTURES, GOLDEN)
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (run.code, ""), argv
+        if run.stdout:
+            assert captured.out == (GOLDEN / run.stdout).read_text(), argv
+        for name in run.outputs:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def test_criterion_9_cli_contract(tmp_path, monkeypatch, capsys):
-    with _criterion(9, "CLI golden files, exit-code table, 2001-point pipeline < 1 s"):
+    with _criterion(9, "CLI exit-code table, 2001-point pipeline < 1 s"):
         design = FIXTURES / "design_42mm.json"
         doc = json.loads(design.read_text())
         geom = doc["geometry"]
-
-        # every golden run, replayed from the table that generated it
         monkeypatch.chdir(tmp_path)
-        for run in GOLDEN_RUNS:
-            argv = golden_argv(run.argv, FIXTURES, GOLDEN)
-            code = cli_main(argv)
-            captured = capsys.readouterr()
-            assert (code, captured.err) == (run.code, ""), argv
-            if run.stdout:
-                assert captured.out == (GOLDEN / run.stdout).read_text(), argv
-            for name in run.outputs:
-                assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
         # exit-code table: 0 and 6 covered by the golden runs; 2, 3, 4, 5 from real inputs
         bad_design = tmp_path / "bad.json"
